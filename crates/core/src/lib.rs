@@ -49,8 +49,8 @@
 
 use linarb_arith::BigInt;
 use linarb_logic::{
-    Atom, ChcSystem, Clause, ClauseHead, ClauseId, Formula, Interpretation, LinExpr, Model,
-    PredApp, PredId, Var,
+    Atom, ChcSystem, Clause, ClauseHead, ClauseId, Formula, Interpretation, LinExpr, Model, PredId,
+    Var,
 };
 use linarb_ml::{learn, learn_seeded, Dataset, LearnConfig, LearnError, Sample, SeedPlane, SeedStore};
 use linarb_pool::Pool;
@@ -178,8 +178,8 @@ pub enum OracleMode {
     #[default]
     Incremental,
     /// Rebuild the encoding and solver state on every check (the
-    /// pre-incremental behaviour; kept as the perf baseline and for
-    /// differential testing).
+    /// pre-incremental behaviour). The serve daemon's oracle, and the
+    /// reference for differential testing.
     Fresh,
 }
 
@@ -244,9 +244,7 @@ pub struct SolverConfig {
     pub minimize_models: bool,
     /// Warm-start state captured from a previous solve of a
     /// structurally similar system (see [`SolveSnapshot`]): negative
-    /// samples and seed directions are imported up front, and
-    /// persistent clause contexts are adopted for clauses that are
-    /// value-identical to their snapshotted counterparts. `None` (the
+    /// samples and seed directions are imported up front. `None` (the
     /// default) starts cold.
     pub warm_start: Option<Arc<SolveSnapshot>>,
 }
@@ -586,10 +584,8 @@ pub struct SolveStats {
     /// Satisfiable oracle checks where minimization kept the solver's
     /// original countermodel (already coordinate-minimal).
     pub model_min_kept: u64,
-    /// Persistent clause contexts adopted from a warm-start snapshot
-    /// (0 without [`SolverConfig::warm_start`]).
-    pub warm_contexts: usize,
-    /// Negative samples imported from a warm-start snapshot.
+    /// Negative samples imported from a warm-start snapshot (0 without
+    /// [`SolverConfig::warm_start`]).
     pub warm_negatives: usize,
     /// Seed directions imported from a warm-start snapshot.
     pub warm_seed_dirs: usize,
@@ -623,7 +619,6 @@ impl SolveStats {
         report.set_counter("core.cross_seed_negatives", self.cross_seed_negatives as u64);
         report.set_counter("core.model_min_improved", self.model_min_improved);
         report.set_counter("core.model_min_kept", self.model_min_kept);
-        report.set_counter("core.warm_contexts", self.warm_contexts as u64);
         report.set_counter("core.warm_negatives", self.warm_negatives as u64);
         report.set_counter("core.warm_seed_dirs", self.warm_seed_dirs as u64);
     }
@@ -678,9 +673,7 @@ impl ClauseContext {
     }
 }
 
-/// Warm-start state captured from a finished solve — the PR 2
-/// persistence (per-clause DPLL(T) contexts with their learned
-/// clauses, guard caches and saved branching state) plus the negative
+/// Warm-start state captured from a finished solve: the negative
 /// sample stores and the harvested seed directions.
 /// [`CegarSolver::snapshot`] captures it; [`SolverConfig::with_warm_start`]
 /// replays it into a new solve, typically of a *different but
@@ -688,88 +681,29 @@ impl ClauseContext {
 ///
 /// Soundness: negatives only bias the learner (every `Sat` verdict is
 /// still oracle-verified clause by clause, and `Unsat` derivations
-/// are built exclusively from positives derived in-system), seed
-/// directions are purely advisory, and a context is adopted only for
-/// a clause that is value-identical to its snapshotted origin
-/// (constraint, body applications, head — ids aside), so the
-/// context's permanent assertions encode exactly the new clause.
+/// are built exclusively from positives derived in-system), and seed
+/// directions are purely advisory.
 #[derive(Clone, Default)]
 pub struct SolveSnapshot {
-    /// Origin clause (for the adoption equality check) and its
-    /// persistent context.
-    contexts: Vec<(Clause, ClauseContext)>,
     /// Negative samples per predicate.
     pub negatives: Vec<(PredId, Sample)>,
     /// Seed-store directions per predicate.
     pub seed_dirs: Vec<(PredId, Vec<BigInt>)>,
 }
 
-/// Structural clause equality ignoring the id — the warm-start
-/// adoption criterion.
-fn clause_eq_mod_id(a: &Clause, b: &Clause) -> bool {
-    a.constraint == b.constraint && a.body_preds == b.body_preds && a.head == b.head
-}
-
 impl SolveSnapshot {
     /// Whether the snapshot carries any state at all.
     pub fn is_empty(&self) -> bool {
-        self.contexts.is_empty() && self.negatives.is_empty() && self.seed_dirs.is_empty()
-    }
-
-    /// Number of snapshotted clause contexts.
-    pub fn num_contexts(&self) -> usize {
-        self.contexts.len()
+        self.negatives.is_empty() && self.seed_dirs.is_empty()
     }
 
     /// Rewrites every predicate reference through `map` (producer id →
     /// consumer id), dropping entries whose predicate has no image —
     /// the bridge for transplanting a snapshot onto a different,
     /// structurally matched system (canonical indices on both sides
-    /// define the map). Clause variables are left untouched: the
-    /// adoption equality check in [`CegarSolver::new`] decides clause
-    /// by clause whether a context still applies verbatim.
+    /// define the map).
     pub fn remap_preds(&self, map: &HashMap<PredId, PredId>) -> SolveSnapshot {
-        let remap_app = |app: &PredApp| -> Option<PredApp> {
-            map.get(&app.pred).map(|&p| PredApp::new(p, app.args.clone()))
-        };
-        let mut contexts = Vec::new();
-        'ctx: for (clause, ctx) in &self.contexts {
-            let mut body = Vec::with_capacity(clause.body_preds.len());
-            for app in &clause.body_preds {
-                match remap_app(app) {
-                    Some(a) => body.push(a),
-                    None => continue 'ctx,
-                }
-            }
-            let head = match &clause.head {
-                ClauseHead::Pred(app) => match remap_app(app) {
-                    Some(a) => ClauseHead::Pred(a),
-                    None => continue 'ctx,
-                },
-                ClauseHead::Goal(g) => ClauseHead::Goal(g.clone()),
-            };
-            let mut ctx = ctx.clone();
-            // Guard bookkeeping carries predicate ids for seed-core
-            // accounting; remap it too (dropping unmapped entries —
-            // only heuristics read it).
-            ctx.guard_dirs = ctx
-                .guard_dirs
-                .iter()
-                .map(|(lit, dirs)| {
-                    let dirs = dirs
-                        .iter()
-                        .filter_map(|(p, d)| map.get(p).map(|&np| (np, d.clone())))
-                        .collect();
-                    (*lit, dirs)
-                })
-                .collect();
-            contexts.push((
-                Clause { id: clause.id, body_preds: body, constraint: clause.constraint.clone(), head },
-                ctx,
-            ));
-        }
         SolveSnapshot {
-            contexts,
             negatives: self
                 .negatives
                 .iter()
@@ -1214,24 +1148,11 @@ impl<'a> CegarSolver<'a> {
             }
             seeds.combine_pairs();
         }
-        let mut contexts = HashMap::new();
         if let Some(ws) = &warm {
             for (p, sample) in &ws.negatives {
                 if let Some(d) = data.get_mut(p) {
                     if d.dim() == sample.len() && d.add_negative(sample.clone()) {
                         stats.warm_negatives += 1;
-                    }
-                }
-            }
-            if config.oracle == OracleMode::Incremental {
-                for clause in sys.clauses() {
-                    if let Some((_, ctx)) =
-                        ws.contexts.iter().find(|(c, _)| clause_eq_mod_id(c, clause))
-                    {
-                        let mut ctx = ctx.clone();
-                        ctx.solver.set_decision_reset(config.oracle_reset);
-                        contexts.insert(clause.id, ctx);
-                        stats.warm_contexts += 1;
                     }
                 }
             }
@@ -1242,7 +1163,7 @@ impl<'a> CegarSolver<'a> {
             interp: Interpretation::new(),
             data,
             justif: HashMap::new(),
-            contexts,
+            contexts: HashMap::new(),
             pool,
             stats,
             seeds,
@@ -1254,18 +1175,11 @@ impl<'a> CegarSolver<'a> {
     }
 
     /// Captures the warm-start state of this solve (see
-    /// [`SolveSnapshot`]): every persistent clause context paired with
-    /// its origin clause, the negative sample stores, and the seed
-    /// directions. Deterministic — entries are ordered by clause /
-    /// predicate id. Cheap relative to a solve (clones of already-built
-    /// state); call it after [`solve`](Self::solve) returns.
+    /// [`SolveSnapshot`]): the negative sample stores and the seed
+    /// directions. Deterministic — entries are ordered by predicate
+    /// id. Cheap relative to a solve (clones of already-built state);
+    /// call it after [`solve`](Self::solve) returns.
     pub fn snapshot(&self) -> SolveSnapshot {
-        let mut contexts: Vec<(Clause, ClauseContext)> = self
-            .contexts
-            .iter()
-            .map(|(cid, ctx)| (self.sys.clause(*cid).clone(), ctx.clone()))
-            .collect();
-        contexts.sort_by_key(|(c, _)| c.id);
         let mut negatives = Vec::new();
         let mut preds: Vec<PredId> = self.data.keys().copied().collect();
         preds.sort();
@@ -1280,7 +1194,7 @@ impl<'a> CegarSolver<'a> {
                 seed_dirs.push((p.id, plane.dir().to_vec()));
             }
         }
-        SolveSnapshot { contexts, negatives, seed_dirs }
+        SolveSnapshot { negatives, seed_dirs }
     }
 
     /// Statistics of the last [`solve`](Self::solve) run.
@@ -2070,21 +1984,53 @@ mod tests {
         }
     }
 
+    const TWO_PREDS: &str = r#"
+        (declare-fun a (Int) Bool)
+        (declare-fun b (Int) Bool)
+        (assert (forall ((x Int)) (=> (= x 0) (a x))))
+        (assert (forall ((x Int) (x1 Int))
+            (=> (and (a x) (< x 5) (= x1 (+ x 1))) (a x1))))
+        (assert (forall ((x Int)) (=> (and (a x) (>= x 5)) (b x))))
+        (assert (forall ((x Int) (x1 Int))
+            (=> (and (b x) (= x1 (- x 1)) (> x 0)) (b x1))))
+        (assert (forall ((x Int)) (=> (b x) (>= x 0))))
+    "#;
+
     #[test]
     fn two_predicates_chained() {
-        let text = r#"
-            (declare-fun a (Int) Bool)
-            (declare-fun b (Int) Bool)
-            (assert (forall ((x Int)) (=> (= x 0) (a x))))
-            (assert (forall ((x Int) (x1 Int))
-                (=> (and (a x) (< x 5) (= x1 (+ x 1))) (a x1))))
-            (assert (forall ((x Int)) (=> (and (a x) (>= x 5)) (b x))))
-            (assert (forall ((x Int) (x1 Int))
-                (=> (and (b x) (= x1 (- x 1)) (> x 0)) (b x1))))
-            (assert (forall ((x Int)) (=> (b x) (>= x 0))))
-        "#;
-        let (r, _) = solve_text(text);
+        let (r, _) = solve_text(TWO_PREDS);
         assert!(r.is_sat(), "{r:?}");
+    }
+
+    #[test]
+    fn snapshot_remap_renames_kept_pred_and_drops_the_rest() {
+        // A goal on each predicate gives both of them negatives.
+        let text = format!("{TWO_PREDS}(assert (forall ((x Int)) (=> (a x) (<= x 5))))");
+        let sys = parse_chc(&text).unwrap();
+        let (a, b) = (PredId(0), PredId(1));
+        assert_eq!(sys.pred(b).name, "b");
+        let mut solver = CegarSolver::new(&sys, SolverConfig::default().with_seeding(true));
+        assert!(solver.solve(&Budget::unlimited()).is_sat());
+        let snap = solver.snapshot();
+        let of = |snap: &SolveSnapshot, p: PredId| {
+            let negs: Vec<Sample> =
+                snap.negatives.iter().filter(|(q, _)| *q == p).map(|(_, s)| s.clone()).collect();
+            let dirs: Vec<Vec<BigInt>> =
+                snap.seed_dirs.iter().filter(|(q, _)| *q == p).map(|(_, d)| d.clone()).collect();
+            (negs, dirs)
+        };
+        let (a_negs, a_dirs) = of(&snap, a);
+        let (b_negs, b_dirs) = of(&snap, b);
+        for (negs, dirs) in [(&a_negs, &a_dirs), (&b_negs, &b_dirs)] {
+            assert!(!negs.is_empty() && !dirs.is_empty(), "both preds carry both kinds");
+        }
+
+        // `b` moves to a fresh id; `a` has no image.
+        let moved = PredId(7);
+        let remapped = snap.remap_preds(&HashMap::from([(b, moved)]));
+        assert_eq!(of(&remapped, moved), (b_negs, b_dirs));
+        assert!(remapped.negatives.iter().all(|(p, _)| *p == moved), "a's negatives remain");
+        assert!(remapped.seed_dirs.iter().all(|(p, _)| *p == moved), "a's directions remain");
     }
 
     #[test]

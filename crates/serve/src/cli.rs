@@ -27,7 +27,6 @@ options:
   --no-cache                        disable the invariant cache
   --no-near                         disable the near-miss tier
   --cache-cap <n>                   max cache entries (default 4096)
-  --model-min                       enable countermodel minimization
 
 the daemon prints one `ready` line once listening and exits on a
 client `shutdown` request";
@@ -97,10 +96,6 @@ pub fn serve_main(args: &[String]) -> i32 {
                         .ok()
                         .filter(|&n| n > 0)
                         .ok_or("bad --cache-cap value")?;
-                    Ok(())
-                }
-                "--model-min" => {
-                    cfg.minimize_models = true;
                     Ok(())
                 }
                 other => Err(format!("unknown option `{other}`")),

@@ -17,10 +17,13 @@
 //!   canonicalization bug costs a cache miss, not soundness.
 //! * **Near tier.** Systems with no exact hit are matched to the
 //!   closest cached neighbor by structural fingerprint overlap, and
-//!   the neighbor's solver state — seed directions, learner
-//!   negatives, per-clause incremental contexts
-//!   ([`linarb_solver::SolveSnapshot`]) and invariant atoms — warm
-//!   starts the fresh solve.
+//!   the neighbor's solver state — seed directions and learner
+//!   negatives ([`linarb_solver::SolveSnapshot`]) plus its invariant
+//!   atoms — warm starts the fresh solve.
+//!
+//! Fresh solves run the CEGAR engine on the stateless oracle
+//! (`OracleMode::Fresh`), which carries no per-clause state between
+//! checks and so none between jobs either.
 //!
 //! The daemon ([`server`]) speaks length-prefixed JSON frames
 //! ([`linarb_trace::frame`]) over a Unix or TCP socket; batches are

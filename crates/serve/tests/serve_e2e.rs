@@ -6,8 +6,10 @@ use std::time::Duration;
 
 use linarb_serve::engine::{JobInput, ServeConfig, ServeCore, Source, Tier};
 use linarb_serve::client::Client;
-use linarb_serve::replay::{run_replay, ReplayConfig};
+use linarb_serve::replay::{run_replay, variant, ReplayConfig};
 use linarb_serve::server::{serve, BindAddr};
+use linarb_smt::Budget;
+use linarb_solver::{CegarSolver, SolveResult, SolverConfig};
 use linarb_suite::{even_odd, fibo_unsafe, fig1, Benchmark};
 
 fn test_config() -> ServeConfig {
@@ -45,6 +47,30 @@ fn unsat_verdicts_cache_and_replay() {
     assert_eq!(second[0].verdict, "unsat");
     assert_eq!(second[0].tier, Tier::Exact);
     assert!(second[0].verified);
+}
+
+#[test]
+fn perturbed_resubmission_is_a_near_hit_with_the_cold_verdict() {
+    for bench in [fig1(), fibo_unsafe()] {
+        let core = ServeCore::new(test_config());
+        assert_eq!(core.submit_batch(vec![job(0, &bench)])[0].tier, Tier::Miss);
+        // Variant 0 of every eight is the constant perturbation.
+        let perturbed = variant(&bench.system, 0x1abb_5eed, 0);
+        let out = core.submit_batch(vec![JobInput {
+            id: 1,
+            name: format!("{}@0", bench.name),
+            source: Source::System(perturbed.clone()),
+        }]);
+        assert_eq!(out[0].tier, Tier::Near, "{}: perturbed resubmission", bench.name);
+        let cold = CegarSolver::new(&perturbed, SolverConfig::default())
+            .solve(&Budget::timeout(Duration::from_secs(60)));
+        let cold = match cold {
+            SolveResult::Sat(_) => "sat",
+            SolveResult::Unsat(_) => "unsat",
+            SolveResult::Unknown(r) => panic!("{}: cold solve gave unknown: {r:?}", bench.name),
+        };
+        assert_eq!(out[0].verdict, cold, "{}: near-tier verdict", bench.name);
+    }
 }
 
 #[test]

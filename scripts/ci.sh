@@ -130,6 +130,15 @@ echo "== cache-key determinism gate (1 and 4 threads) =="
 LINARB_THREADS=1 cargo test -q --offline -p linarb-frontend --test canon_props
 LINARB_THREADS=4 cargo test -q --offline -p linarb-frontend --test canon_props
 
+echo "== benchmark harness (unit tests + quick run of every workload) =="
+# The repository benchmark (benchmark/, its own Cargo package) builds
+# against the crates' public entry points, so an API change that
+# breaks it must fail here. The quick run checks ground truth and
+# certificates for every verdict of all four workloads and exits
+# non-zero on a violation; its timings are not gated.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --quick
+
 echo "== trace smoke (structured JSONL trace of one benchmark) =="
 # Solve a benchmark with tracing on, then validate that the emitted
 # trace is non-empty, well-formed JSONL containing spans from every
