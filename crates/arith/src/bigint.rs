@@ -1,18 +1,18 @@
-//! Sign-magnitude arbitrary-precision integers.
+//! Arbitrary-precision integers with an inline `i64` fast path.
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
 use std::str::FromStr;
 
 /// An arbitrary-precision signed integer.
 ///
-/// Representation: a sign in `{-1, 0, 1}` and a little-endian `u32`
-/// limb magnitude with no trailing zero limbs. The canonical zero has
-/// `sign == 0` and an empty magnitude, so derived equality is value
-/// equality.
+/// Representation: every value that fits in an `i64` is stored inline;
+/// only values outside that range carry a heap-allocated sign-magnitude
+/// limb vector. Every operation narrows its result back to the inline
+/// form when it fits, so each value has exactly one representation and
+/// derived equality and hashing are value equality and value hashing.
 ///
 /// ```
 /// use linarb_arith::BigInt;
@@ -20,8 +20,21 @@ use std::str::FromStr;
 /// assert_eq!((&big - &big), BigInt::zero());
 /// # Ok::<(), linarb_arith::ParseBigIntError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq)]
-pub struct BigInt {
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct BigInt(Repr);
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    /// Every value in `i64` range, and only those.
+    Small(i64),
+    /// Values outside `i64` range. Boxed so a `BigInt` stays two words.
+    Large(Box<Limbs>),
+}
+
+/// Sign in `{-1, 1}` and a little-endian `u32` limb magnitude with no
+/// trailing zero limbs.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Limbs {
     sign: i8,
     mag: Vec<u32>,
 }
@@ -189,71 +202,131 @@ fn mag_divrem(a: &[u32], b: &[u32]) -> (Vec<u32>, Vec<u32>) {
     (q, rem)
 }
 
+/// The limbs of `|v|` in `buf`, trimmed.
+fn small_limbs(v: i64, buf: &mut [u32; 2]) -> &[u32] {
+    let u = v.unsigned_abs();
+    *buf = [u as u32, (u >> 32) as u32];
+    let len = if u == 0 { 0 } else if u >> 32 == 0 { 1 } else { 2 };
+    &buf[..len]
+}
+
+/// `sa·|ma| + sb·|mb|` on sign-magnitude operands.
+fn add_signed(sa: i8, ma: &[u32], sb: i8, mb: &[u32]) -> BigInt {
+    if sa == 0 {
+        return BigInt::from_mag(sb, mb.to_vec());
+    }
+    if sb == 0 {
+        return BigInt::from_mag(sa, ma.to_vec());
+    }
+    if sa == sb {
+        return BigInt::from_mag(sa, mag_add(ma, mb));
+    }
+    match mag_cmp(ma, mb) {
+        Ordering::Equal => BigInt::zero(),
+        Ordering::Greater => BigInt::from_mag(sa, mag_sub(ma, mb)),
+        Ordering::Less => BigInt::from_mag(sb, mag_sub(mb, ma)),
+    }
+}
+
 // ------------------------------------------------------------------- BigInt
 
 impl BigInt {
     /// The integer `0`.
     pub fn zero() -> BigInt {
-        BigInt { sign: 0, mag: Vec::new() }
+        BigInt(Repr::Small(0))
     }
 
     /// The integer `1`.
     pub fn one() -> BigInt {
-        BigInt::from(1)
+        BigInt(Repr::Small(1))
     }
 
     /// The integer `-1`.
     pub fn minus_one() -> BigInt {
-        BigInt::from(-1)
+        BigInt(Repr::Small(-1))
     }
 
     /// Returns `true` if `self == 0`.
     pub fn is_zero(&self) -> bool {
-        self.sign == 0
+        matches!(self.0, Repr::Small(0))
     }
 
     /// Returns `true` if `self == 1`.
     pub fn is_one(&self) -> bool {
-        self.sign == 1 && self.mag == [1]
+        matches!(self.0, Repr::Small(1))
     }
 
     /// Returns `true` if `self > 0`.
     pub fn is_positive(&self) -> bool {
-        self.sign > 0
+        self.signum() > 0
     }
 
     /// Returns `true` if `self < 0`.
     pub fn is_negative(&self) -> bool {
-        self.sign < 0
+        self.signum() < 0
     }
 
     /// Sign of the value: `-1`, `0` or `1`.
     pub fn signum(&self) -> i8 {
-        self.sign
+        match &self.0 {
+            Repr::Small(v) => v.signum() as i8,
+            Repr::Large(l) => l.sign,
+        }
     }
 
     /// Absolute value.
     pub fn abs(&self) -> BigInt {
-        BigInt { sign: self.sign.abs(), mag: self.mag.clone() }
+        match &self.0 {
+            Repr::Small(v) => match v.checked_abs() {
+                Some(a) => BigInt(Repr::Small(a)),
+                None => BigInt::from(v.unsigned_abs() as i128),
+            },
+            // Outside i64 range on either side, |v| is too.
+            Repr::Large(l) => BigInt::large(1, l.mag.clone()),
+        }
     }
 
     /// `true` if the low bit is clear.
     pub fn is_even(&self) -> bool {
-        self.mag.first().map_or(true, |l| l & 1 == 0)
+        match &self.0 {
+            Repr::Small(v) => v & 1 == 0,
+            Repr::Large(l) => l.mag[0] & 1 == 0,
+        }
     }
 
     /// Number of bits in the magnitude (0 for zero).
     pub fn bits(&self) -> usize {
-        mag_bits(&self.mag)
+        match &self.0 {
+            Repr::Small(v) => 64 - v.unsigned_abs().leading_zeros() as usize,
+            Repr::Large(l) => mag_bits(&l.mag),
+        }
     }
 
+    fn large(sign: i8, mag: Vec<u32>) -> BigInt {
+        BigInt(Repr::Large(Box::new(Limbs { sign, mag })))
+    }
+
+    /// Sign and magnitude, with an inline value's limbs written to `buf`.
+    fn parts<'a>(&'a self, buf: &'a mut [u32; 2]) -> (i8, &'a [u32]) {
+        match &self.0 {
+            Repr::Small(v) => (v.signum() as i8, small_limbs(*v, buf)),
+            Repr::Large(l) => (l.sign, &l.mag),
+        }
+    }
+
+    /// The canonical value `sign·|mag|`: inline whenever it fits.
     fn from_mag(sign: i8, mut mag: Vec<u32>) -> BigInt {
         mag_trim(&mut mag);
-        if mag.is_empty() {
-            BigInt::zero()
-        } else {
-            BigInt { sign, mag }
+        if mag.len() <= 2 {
+            let u = mag.iter().rev().fold(0u64, |acc, &l| acc << 32 | l as u64);
+            if sign >= 0 && u <= i64::MAX as u64 {
+                return BigInt(Repr::Small(u as i64));
+            }
+            if sign < 0 && u <= 1 << 63 {
+                return BigInt(Repr::Small((u as i64).wrapping_neg()));
+            }
         }
+        BigInt::large(sign, mag)
     }
 
     /// Truncated division with remainder: `self = q * d + r`, `|r| < |d|`,
@@ -265,10 +338,18 @@ impl BigInt {
     /// Panics if `d == 0`.
     pub fn div_rem(&self, d: &BigInt) -> (BigInt, BigInt) {
         assert!(!d.is_zero(), "BigInt division by zero");
-        let (qm, rm) = mag_divrem(&self.mag, &d.mag);
-        let q = BigInt::from_mag(self.sign * d.sign, qm);
-        let r = BigInt::from_mag(self.sign, rm);
-        (q, r)
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &d.0) {
+            return match a.checked_div(*b) {
+                Some(q) => (BigInt(Repr::Small(q)), BigInt(Repr::Small(a % b))),
+                // i64::MIN / -1
+                None => (BigInt::from(-(*a as i128)), BigInt::zero()),
+            };
+        }
+        let (mut ba, mut bd) = ([0; 2], [0; 2]);
+        let (sa, ma) = self.parts(&mut ba);
+        let (sd, md) = d.parts(&mut bd);
+        let (qm, rm) = mag_divrem(ma, md);
+        (BigInt::from_mag(sa * sd, qm), BigInt::from_mag(sa, rm))
     }
 
     /// Euclidean/floor division: rounds the quotient toward negative
@@ -282,7 +363,7 @@ impl BigInt {
     /// Panics if `d == 0`.
     pub fn div_mod_floor(&self, d: &BigInt) -> (BigInt, BigInt) {
         let (q, r) = self.div_rem(d);
-        if r.is_zero() || r.sign == d.sign {
+        if r.is_zero() || r.signum() == d.signum() {
             (q, r)
         } else {
             (&q - &BigInt::one(), &r + d)
@@ -300,6 +381,14 @@ impl BigInt {
 
     /// Greatest common divisor (always non-negative; `gcd(0,0) = 0`).
     pub fn gcd(a: &BigInt, b: &BigInt) -> BigInt {
+        if let (Repr::Small(a), Repr::Small(b)) = (&a.0, &b.0) {
+            let (mut x, mut y) = (a.unsigned_abs(), b.unsigned_abs());
+            while y != 0 {
+                (x, y) = (y, x % y);
+            }
+            // gcd(i64::MIN, 0) = 2^63 does not fit an i64.
+            return BigInt::from(x as i128);
+        }
         let mut x = a.abs();
         let mut y = b.abs();
         while !y.is_zero() {
@@ -337,32 +426,23 @@ impl BigInt {
 
     /// Convert to `i64` if the value fits.
     pub fn to_i64(&self) -> Option<i64> {
-        if self.mag.len() > 2 {
-            return None;
-        }
-        let mut v: u64 = 0;
-        for (i, &l) in self.mag.iter().enumerate() {
-            v |= (l as u64) << (32 * i);
-        }
-        match self.sign {
-            0 => Some(0),
-            1 if v <= i64::MAX as u64 => Some(v as i64),
-            -1 if v <= i64::MAX as u64 + 1 => Some((v as i128).wrapping_neg() as i64),
-            _ => None,
+        match self.0 {
+            Repr::Small(v) => Some(v),
+            Repr::Large(_) => None,
         }
     }
 
     /// Convert to `i128` if the value fits.
     pub fn to_i128(&self) -> Option<i128> {
-        if self.mag.len() > 4 {
+        let l = match &self.0 {
+            Repr::Small(v) => return Some(*v as i128),
+            Repr::Large(l) => l,
+        };
+        if l.mag.len() > 4 {
             return None;
         }
-        let mut v: u128 = 0;
-        for (i, &l) in self.mag.iter().enumerate() {
-            v |= (l as u128) << (32 * i);
-        }
-        match self.sign {
-            0 => Some(0),
+        let v = l.mag.iter().rev().fold(0u128, |acc, &x| acc << 32 | x as u128);
+        match l.sign {
             1 if v <= i128::MAX as u128 => Some(v as i128),
             -1 if v <= i128::MAX as u128 + 1 => Some(v.wrapping_neg() as i128),
             _ => None,
@@ -372,11 +452,14 @@ impl BigInt {
     /// Lossy conversion to `f64` (used only for ML scoring, never for
     /// logical decisions).
     pub fn to_f64(&self) -> f64 {
-        let mut v = 0.0f64;
-        for &l in self.mag.iter().rev() {
-            v = v * 4294967296.0 + l as f64;
-        }
-        if self.sign < 0 {
+        // Both branches round |v| once, to nearest, then apply the sign.
+        let (sign, v) = match &self.0 {
+            Repr::Small(v) => (v.signum() as i8, v.unsigned_abs() as f64),
+            Repr::Large(l) => {
+                (l.sign, l.mag.iter().rev().fold(0.0f64, |v, &x| v * 4294967296.0 + x as f64))
+            }
+        };
+        if sign < 0 {
             -v
         } else {
             v
@@ -390,28 +473,21 @@ impl Default for BigInt {
     }
 }
 
-impl Hash for BigInt {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.sign.hash(state);
-        self.mag.hash(state);
-    }
-}
-
 impl From<i64> for BigInt {
     fn from(v: i64) -> BigInt {
-        BigInt::from(v as i128)
+        BigInt(Repr::Small(v))
     }
 }
 
 impl From<i32> for BigInt {
     fn from(v: i32) -> BigInt {
-        BigInt::from(v as i128)
+        BigInt(Repr::Small(v as i64))
     }
 }
 
 impl From<u32> for BigInt {
     fn from(v: u32) -> BigInt {
-        BigInt::from(v as i128)
+        BigInt(Repr::Small(v as i64))
     }
 }
 
@@ -423,18 +499,16 @@ impl From<usize> for BigInt {
 
 impl From<i128> for BigInt {
     fn from(v: i128) -> BigInt {
-        let sign = match v.cmp(&0) {
-            Ordering::Less => -1,
-            Ordering::Equal => 0,
-            Ordering::Greater => 1,
-        };
+        if let Ok(small) = i64::try_from(v) {
+            return BigInt(Repr::Small(small));
+        }
         let mut u = v.unsigned_abs();
         let mut mag = Vec::new();
         while u != 0 {
             mag.push(u as u32);
             u >>= 32;
         }
-        BigInt { sign, mag }
+        BigInt::large(if v < 0 { -1 } else { 1 }, mag)
     }
 }
 
@@ -446,12 +520,18 @@ impl PartialOrd for BigInt {
 
 impl Ord for BigInt {
     fn cmp(&self, other: &Self) -> Ordering {
-        match self.sign.cmp(&other.sign) {
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
+            return a.cmp(b);
+        }
+        let (mut ba, mut bb) = ([0; 2], [0; 2]);
+        let (sa, ma) = self.parts(&mut ba);
+        let (sb, mb) = other.parts(&mut bb);
+        match sa.cmp(&sb) {
             Ordering::Equal => {}
             ord => return ord,
         }
-        let m = mag_cmp(&self.mag, &other.mag);
-        if self.sign < 0 {
+        let m = mag_cmp(ma, mb);
+        if sa < 0 {
             m.reverse()
         } else {
             m
@@ -461,18 +541,19 @@ impl Ord for BigInt {
 
 impl fmt::Display for BigInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return write!(f, "0");
-        }
+        let l = match &self.0 {
+            Repr::Small(v) => return write!(f, "{v}"),
+            Repr::Large(l) => l,
+        };
         let mut digits = Vec::new();
-        let mut mag = self.mag.clone();
+        let mut mag = l.mag.clone();
         while !mag.is_empty() {
             let (q, r) = mag_divrem_limb(&mag, 1_000_000_000);
             digits.push(r);
             mag = q;
         }
         let mut s = String::new();
-        if self.sign < 0 {
+        if l.sign < 0 {
             s.push('-');
         }
         s.push_str(&digits.last().unwrap().to_string());
@@ -521,51 +602,73 @@ impl FromStr for BigInt {
 impl Neg for BigInt {
     type Output = BigInt;
     fn neg(self) -> BigInt {
-        BigInt { sign: -self.sign, mag: self.mag }
+        match self.0 {
+            Repr::Small(_) => -&self,
+            // 2^63 narrows to i64::MIN.
+            Repr::Large(l) => BigInt::from_mag(-l.sign, l.mag),
+        }
     }
 }
 
 impl Neg for &BigInt {
     type Output = BigInt;
     fn neg(self) -> BigInt {
-        BigInt { sign: -self.sign, mag: self.mag.clone() }
+        match &self.0 {
+            Repr::Small(v) => match v.checked_neg() {
+                Some(n) => BigInt(Repr::Small(n)),
+                None => BigInt::from(-(*v as i128)),
+            },
+            Repr::Large(l) => BigInt::from_mag(-l.sign, l.mag.clone()),
+        }
     }
 }
 
 impl Add for &BigInt {
     type Output = BigInt;
     fn add(self, rhs: &BigInt) -> BigInt {
-        if self.is_zero() {
-            return rhs.clone();
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &rhs.0) {
+            return match a.checked_add(*b) {
+                Some(s) => BigInt(Repr::Small(s)),
+                None => BigInt::from(*a as i128 + *b as i128),
+            };
         }
-        if rhs.is_zero() {
-            return self.clone();
-        }
-        if self.sign == rhs.sign {
-            BigInt { sign: self.sign, mag: mag_add(&self.mag, &rhs.mag) }
-        } else {
-            match mag_cmp(&self.mag, &rhs.mag) {
-                Ordering::Equal => BigInt::zero(),
-                Ordering::Greater => {
-                    BigInt::from_mag(self.sign, mag_sub(&self.mag, &rhs.mag))
-                }
-                Ordering::Less => BigInt::from_mag(rhs.sign, mag_sub(&rhs.mag, &self.mag)),
-            }
-        }
+        let (mut ba, mut bb) = ([0; 2], [0; 2]);
+        let (sa, ma) = self.parts(&mut ba);
+        let (sb, mb) = rhs.parts(&mut bb);
+        add_signed(sa, ma, sb, mb)
     }
 }
 
 impl Sub for &BigInt {
     type Output = BigInt;
     fn sub(self, rhs: &BigInt) -> BigInt {
-        self + &(-rhs)
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &rhs.0) {
+            return match a.checked_sub(*b) {
+                Some(d) => BigInt(Repr::Small(d)),
+                None => BigInt::from(*a as i128 - *b as i128),
+            };
+        }
+        let (mut ba, mut bb) = ([0; 2], [0; 2]);
+        let (sa, ma) = self.parts(&mut ba);
+        let (sb, mb) = rhs.parts(&mut bb);
+        add_signed(sa, ma, -sb, mb)
     }
 }
 
 impl Mul for &BigInt {
     type Output = BigInt;
     fn mul(self, rhs: &BigInt) -> BigInt {
-        BigInt::from_mag(self.sign * rhs.sign, mag_mul(&self.mag, &rhs.mag))
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &rhs.0) {
+            return match a.checked_mul(*b) {
+                Some(p) => BigInt(Repr::Small(p)),
+                // |a·b| ≤ 2^126 always fits an i128.
+                None => BigInt::from(*a as i128 * *b as i128),
+            };
+        }
+        let (mut ba, mut bb) = ([0; 2], [0; 2]);
+        let (sa, ma) = self.parts(&mut ba);
+        let (sb, mb) = rhs.parts(&mut bb);
+        BigInt::from_mag(sa * sb, mag_mul(ma, mb))
     }
 }
 
@@ -754,6 +857,15 @@ mod tests {
     }
 
     #[test]
+    fn inline_values_stay_two_words() {
+        assert_eq!(std::mem::size_of::<BigInt>(), 16);
+        assert!(matches!(b(i64::MAX as i128).0, Repr::Small(_)));
+        assert!(matches!(b(i64::MIN as i128).0, Repr::Small(_)));
+        assert!(matches!(b(i64::MAX as i128 + 1).0, Repr::Large(_)));
+        assert!(matches!((-&b(1i128 << 63)).0, Repr::Small(i64::MIN)));
+    }
+
+    #[test]
     fn is_even_and_bits() {
         assert!(b(0).is_even());
         assert!(b(-4).is_even());
@@ -762,5 +874,8 @@ mod tests {
         assert_eq!(b(1).bits(), 1);
         assert_eq!(b(255).bits(), 8);
         assert_eq!(b(256).bits(), 9);
+        assert_eq!(b(i64::MIN as i128).bits(), 64);
+        assert_eq!(b(1i128 << 64).bits(), 65);
+        assert!(b(1i128 << 64).is_even());
     }
 }

@@ -6,13 +6,17 @@
 //! exact integer combinations. This crate provides the two number
 //! types everything else is built on:
 //!
-//! * [`BigInt`] — a sign-magnitude arbitrary-precision integer.
+//! * [`BigInt`] — an arbitrary-precision integer.
 //! * [`BigRational`] — a normalized quotient of two [`BigInt`]s.
 //!
 //! Values that occur while solving CHCs are small (coefficients,
-//! sample coordinates, pivot entries), so the implementation favors
-//! simplicity and obvious correctness over asymptotic cleverness:
-//! schoolbook multiplication and binary long division.
+//! sample coordinates, pivot entries), so a [`BigInt`] keeps any value
+//! that fits in an `i64` inline, with no heap allocation, and computes
+//! on it with checked machine arithmetic. An operation that overflows
+//! falls back to sign-magnitude `u32` limbs (schoolbook multiplication,
+//! binary long division), and every result that fits in an `i64` again
+//! is narrowed back, so each value has one representation. The fast
+//! path computes exactly the values the limb code does.
 //!
 //! # Examples
 //!

@@ -176,3 +176,116 @@ fn rational_floor_ceil() {
         assert!(diff == BigInt::zero() || diff == BigInt::one());
     });
 }
+
+// ---------------------------------------------------- across the i64 edge
+//
+// Values that fit in an i64 are stored inline and everything else in
+// limbs, so these cases cross that boundary in both directions.
+
+fn hash_of(v: &BigInt) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// `v` equals, compares equal to and hashes like the canonical `expected`.
+fn assert_same(v: BigInt, expected: i128) {
+    let e = big(expected);
+    assert_eq!(v, e);
+    assert_eq!(v.cmp(&e), std::cmp::Ordering::Equal);
+    assert_eq!(hash_of(&v), hash_of(&e), "{v}");
+    assert_eq!(v.to_i128(), Some(expected));
+    assert_eq!(v.to_i64(), i64::try_from(expected).ok());
+}
+
+fn gcd_i128(a: i128, b: i128) -> i128 {
+    let (mut x, mut y) = (a.unsigned_abs(), b.unsigned_abs());
+    while y != 0 {
+        (x, y) = (y, x % y);
+    }
+    x as i128
+}
+
+/// An operand near `i64::MIN`, `i64::MAX`, zero or `±2^32`, sometimes
+/// just outside the i64 range.
+fn edge_operand(rng: &mut XorShiftRng) -> i128 {
+    let near = rng.gen_range(-300i128..300);
+    match rng.gen_range(0..5u32) {
+        0 => i64::MIN as i128 + near,
+        1 => i64::MAX as i128 + near,
+        2 => near,
+        3 => (1i128 << 32) + near,
+        _ => -(1i128 << 32) + near,
+    }
+}
+
+#[test]
+fn edge_arithmetic_matches_i128() {
+    cases(CASES * 4, 0xA00D, |rng| {
+        let a = edge_operand(rng);
+        let b = edge_operand(rng);
+        let (x, y) = (big(a), big(b));
+        assert_same(&x + &y, a + b);
+        assert_same(&x - &y, a - b);
+        assert_same(&x * &y, a * b);
+        assert_same(-&x, -a);
+        assert_same(-x.clone(), -a);
+        assert_same(x.abs(), a.abs());
+        assert_same(BigInt::gcd(&x, &y), gcd_i128(a, b));
+        assert_eq!(x.cmp(&y), a.cmp(&b));
+        if b != 0 {
+            let (q, r) = x.div_rem(&y);
+            assert_same(q, a / b);
+            assert_same(r, a % b);
+        }
+    });
+}
+
+#[test]
+fn i64_extremes() {
+    let (min, max) = (i64::MIN as i128, i64::MAX as i128);
+    let (q, r) = big(min).div_rem(&big(-1));
+    assert_same(q, 1i128 << 63);
+    assert_same(r, 0);
+    assert_same(BigInt::gcd(&big(min), &big(0)), 1i128 << 63);
+    assert_same(BigInt::gcd(&big(0), &big(min)), 1i128 << 63);
+    assert_same(BigInt::gcd(&big(min), &big(min)), 1i128 << 63);
+    assert_same(big(min).abs(), 1i128 << 63);
+    assert_same(-big(min), 1i128 << 63);
+    assert_same(-big(1i128 << 63), min);
+    assert_same(&big(max) + &big(1), max + 1);
+    assert_same(&big(min) - &big(1), min - 1);
+    assert_same(&big(min) * &big(min), min * min);
+    assert_same(&big(max) * &big(-1), -max);
+    assert!(big(max) < big(max + 1));
+    assert!(big(min - 1) < big(min));
+    assert!(big(-(1i128 << 64)) < big(min));
+}
+
+#[test]
+fn multi_limb_intermediates_narrow_back() {
+    let two64 = big(1i128 << 64);
+    assert_same(&(&two64 + &big(5)) - &two64, 5);
+    assert_same(&(&two64 + &big(5)) + &(-&two64), 5);
+    assert_same(&big(-5) - &(-&two64) - &two64, -5);
+    assert_same(&(&two64 * &two64) / &two64, 1i128 << 64);
+    assert_same(&(&two64 * &big(3)) / &two64, 3);
+    assert_same(&(&two64 * &big(7)) % &(&two64 * &big(2)), 1i128 << 64);
+    assert_same(&big((1i128 << 64) + 9) % &two64, 9);
+    assert_same(
+        BigInt::gcd(&(&two64 * &big(6)), &(&two64 * &big(4))),
+        1i128 << 65,
+    );
+    assert_same(BigInt::gcd(&(&two64 + &big(1)), &big(2)), 1);
+    let p: BigInt = "340282366920938463463374607431768211457".parse().unwrap();
+    assert_same(&p - &(&p - &big(12)), 12);
+    assert_eq!(
+        BigInt::from(5).to_string(),
+        (&(&two64 + &big(5)) - &two64).to_string()
+    );
+    // Rationals built from multi-limb parts reduce to small ones.
+    let r = BigRational::new(&two64 * &big(3), &two64 * &big(-6));
+    assert_eq!(r, BigRational::new(big(-1), big(2)));
+    assert_eq!(hash_of(r.numer()), hash_of(&big(-1)));
+}

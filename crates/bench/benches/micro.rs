@@ -1,15 +1,16 @@
 //! Component microbenchmarks: the engineering substrate under the
-//! paper's numbers — SAT, simplex, SMT, classification, decision
-//! trees, and end-to-end solves of the running examples.
+//! paper's numbers — SAT, rational arithmetic, simplex, SMT,
+//! classification, decision trees, and end-to-end solves of the
+//! running examples.
 //!
 //! Self-timed (no external harness): each benchmark runs a warmup
 //! pass, then reports the median wall time over a fixed number of
 //! samples. Run with `cargo bench --bench micro`.
 
-use linarb_arith::{int, rat};
+use linarb_arith::{int, rat, BigRational};
 use linarb_logic::{Atom, Formula, LinExpr, Var};
 use linarb_ml::{learn, linear_classify, ClassifierKind, Dataset, LearnConfig, SvmParams};
-use linarb_sat::{Lit, SatSolver};
+use linarb_sat::{Lit, SatResult, SatSolver};
 use linarb_smt::{check_sat, simplex::Simplex, Budget};
 use linarb_solver::{CegarSolver, SolverConfig};
 use std::hint::black_box;
@@ -59,6 +60,61 @@ fn bench_sat() {
             }
         }
         s.solve()
+    });
+}
+
+fn bench_sat_incremental() {
+    // An incremental solver that keeps gaining variables, as the
+    // oracle's per-clause contexts do: every solve decides all of the
+    // free ones, so this row is dominated by the cost of a decision.
+    bench_function("sat_incremental_3k_vars", || {
+        let mut s = SatSolver::new();
+        let mut vars = Vec::new();
+        let mut sat = 0;
+        for round in 0..100 {
+            for _ in 0..30 {
+                vars.push(s.new_var());
+            }
+            let a = vars[vars.len() - 1];
+            let b = vars[round * 7 % vars.len()];
+            s.add_clause(&[a.negative(), b.positive()]);
+            if s.solve_under_assumptions(&[a.positive()]) == SatResult::Sat {
+                sat += 1;
+            }
+        }
+        sat
+    });
+}
+
+fn bench_rational() {
+    // Gaussian elimination on a dense 8×8 matrix of small rationals:
+    // the div/mul/sub/compare mix of a simplex pivot.
+    let n = 8usize;
+    let matrix: Vec<Vec<BigRational>> = (0..n)
+        .map(|i| {
+            (0..n)
+                .map(|j| {
+                    let k = (i * n + j) as i64;
+                    rat(k % 7 - 3 + if i == j { 9 } else { 0 }, k % 5 + 1)
+                })
+                .collect()
+        })
+        .collect();
+    bench_function("rational_pivot_mix_8x8", || {
+        let mut m = matrix.clone();
+        for p in 0..n {
+            let pivot = m[p].clone();
+            for (_, row) in m.iter_mut().enumerate().filter(|(r, _)| *r != p) {
+                let factor = &row[p] / &pivot[p];
+                for (x, y) in row.iter_mut().zip(&pivot).skip(p) {
+                    *x = &*x - &(&factor * y);
+                }
+            }
+        }
+        m.iter()
+            .enumerate()
+            .filter(|(i, row)| row[*i] > BigRational::zero())
+            .count()
     });
 }
 
@@ -146,6 +202,8 @@ fn bench_end_to_end() {
 
 fn main() {
     bench_sat();
+    bench_sat_incremental();
+    bench_rational();
     bench_simplex();
     bench_smt();
     bench_classification();

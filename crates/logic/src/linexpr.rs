@@ -3,14 +3,16 @@
 use crate::model::Model;
 use crate::var::Var;
 use linarb_arith::BigInt;
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
 /// A linear expression `Σ aᵢ·xᵢ + c` with exact integer coefficients.
 ///
-/// The representation is canonical: zero coefficients are never stored,
-/// so structural equality is semantic equality.
+/// The representation is canonical: the terms are kept sorted by
+/// variable with each variable at most once, and zero coefficients are
+/// never stored, so structural equality is semantic equality.
 ///
 /// ```
 /// use linarb_arith::int;
@@ -23,8 +25,24 @@ use std::ops::{Add, Mul, Neg, Sub};
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct LinExpr {
-    terms: BTreeMap<Var, BigInt>,
+    /// Sorted by variable, no repeats, no zero coefficients.
+    terms: Vec<(Var, BigInt)>,
     konst: BigInt,
+}
+
+/// Sorts `terms` by variable, sums repeated variables and drops the
+/// zero sums.
+fn normalize(mut terms: Vec<(Var, BigInt)>) -> Vec<(Var, BigInt)> {
+    terms.sort_by_key(|(v, _)| *v);
+    let mut out: Vec<(Var, BigInt)> = Vec::with_capacity(terms.len());
+    for (v, c) in terms {
+        match out.last_mut() {
+            Some((w, acc)) if *w == v => *acc += &c,
+            _ => out.push((v, c)),
+        }
+    }
+    out.retain(|(_, c)| !c.is_zero());
+    out
 }
 
 impl LinExpr {
@@ -35,7 +53,7 @@ impl LinExpr {
 
     /// A constant expression.
     pub fn constant(c: BigInt) -> LinExpr {
-        LinExpr { terms: BTreeMap::new(), konst: c }
+        LinExpr { terms: Vec::new(), konst: c }
     }
 
     /// The expression `1·v`.
@@ -45,21 +63,14 @@ impl LinExpr {
 
     /// The expression `coeff·v`.
     pub fn term(v: Var, coeff: BigInt) -> LinExpr {
-        let mut terms = BTreeMap::new();
-        if !coeff.is_zero() {
-            terms.insert(v, coeff);
-        }
+        let terms = if coeff.is_zero() { Vec::new() } else { vec![(v, coeff)] };
         LinExpr { terms, konst: BigInt::zero() }
     }
 
     /// Builds an expression from `(variable, coefficient)` pairs plus a
     /// constant; repeated variables are summed.
     pub fn from_terms<I: IntoIterator<Item = (Var, BigInt)>>(pairs: I, konst: BigInt) -> LinExpr {
-        let mut e = LinExpr::constant(konst);
-        for (v, c) in pairs {
-            e.add_term(v, &c);
-        }
-        e
+        LinExpr { terms: normalize(pairs.into_iter().collect()), konst }
     }
 
     /// Adds `coeff·v` in place.
@@ -67,10 +78,14 @@ impl LinExpr {
         if coeff.is_zero() {
             return;
         }
-        let entry = self.terms.entry(v).or_insert_with(BigInt::zero);
-        *entry = &*entry + coeff;
-        if entry.is_zero() {
-            self.terms.remove(&v);
+        match self.terms.binary_search_by_key(&v, |(w, _)| *w) {
+            Ok(i) => {
+                self.terms[i].1 += coeff;
+                if self.terms[i].1.is_zero() {
+                    self.terms.remove(i);
+                }
+            }
+            Err(i) => self.terms.insert(i, (v, coeff.clone())),
         }
     }
 
@@ -81,7 +96,10 @@ impl LinExpr {
 
     /// The coefficient of `v` (zero if absent).
     pub fn coeff(&self, v: Var) -> BigInt {
-        self.terms.get(&v).cloned().unwrap_or_else(BigInt::zero)
+        match self.terms.binary_search_by_key(&v, |(w, _)| *w) {
+            Ok(i) => self.terms[i].1.clone(),
+            Err(_) => BigInt::zero(),
+        }
     }
 
     /// The constant term.
@@ -106,7 +124,7 @@ impl LinExpr {
 
     /// Iterates the variables mentioned.
     pub fn vars(&self) -> impl Iterator<Item = Var> + '_ {
-        self.terms.keys().copied()
+        self.terms.iter().map(|(v, _)| *v)
     }
 
     /// Multiplies every coefficient and the constant by `k`.
@@ -145,18 +163,9 @@ impl LinExpr {
     /// Renames variables through `map`; unmapped variables are kept.
     pub fn rename(&self, map: &HashMap<Var, Var>) -> LinExpr {
         LinExpr {
-            terms: self
-                .terms
-                .iter()
-                .map(|(v, c)| (*map.get(v).unwrap_or(v), c.clone()))
-                .fold(BTreeMap::new(), |mut m, (v, c)| {
-                    let e = m.entry(v).or_insert_with(BigInt::zero);
-                    *e = &*e + &c;
-                    if e.is_zero() {
-                        m.remove(&v);
-                    }
-                    m
-                }),
+            terms: normalize(
+                self.terms.iter().map(|(v, c)| (*map.get(v).unwrap_or(v), c.clone())).collect(),
+            ),
             konst: self.konst.clone(),
         }
     }
@@ -164,8 +173,8 @@ impl LinExpr {
     /// GCD of the variable coefficients (zero if constant).
     pub fn coeff_gcd(&self) -> BigInt {
         self.terms
-            .values()
-            .fold(BigInt::zero(), |g, c| BigInt::gcd(&g, c))
+            .iter()
+            .fold(BigInt::zero(), |g, (_, c)| BigInt::gcd(&g, c))
     }
 }
 
@@ -215,12 +224,33 @@ impl fmt::Debug for LinExpr {
 impl Add for &LinExpr {
     type Output = LinExpr;
     fn add(self, rhs: &LinExpr) -> LinExpr {
-        let mut out = self.clone();
-        out.konst = &out.konst + &rhs.konst;
-        for (v, c) in &rhs.terms {
-            out.add_term(*v, c);
+        // Merge of two sorted term lists.
+        let (a, b) = (&self.terms, &rhs.terms);
+        let mut terms = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    terms.push(a[i].clone());
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    terms.push(b[j].clone());
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    let c = &a[i].1 + &b[j].1;
+                    if !c.is_zero() {
+                        terms.push((a[i].0, c));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
-        out
+        terms.extend_from_slice(&a[i..]);
+        terms.extend_from_slice(&b[j..]);
+        LinExpr { terms, konst: &self.konst + &rhs.konst }
     }
 }
 
@@ -325,6 +355,54 @@ mod tests {
         let r = e.rename(&map);
         assert_eq!(r.coeff(v(9)), int(2));
         assert_eq!(r.num_terms(), 1);
+    }
+
+    fn ascending(e: &LinExpr) -> bool {
+        e.terms().zip(e.terms().skip(1)).all(|((a, _), (b, _))| a < b)
+    }
+
+    #[test]
+    fn terms_iterate_in_ascending_var_order() {
+        // The theory tags atoms in term order, so its cores depend on it.
+        let e = LinExpr::from_terms(
+            [(v(7), int(1)), (v(2), int(3)), (v(5), int(-1)), (v(2), int(1)), (v(0), int(4))],
+            int(0),
+        );
+        assert!(ascending(&e));
+        let order: Vec<Var> = e.vars().collect();
+        assert_eq!(order, vec![v(0), v(2), v(5), v(7)]);
+        assert_eq!(e.coeff(v(2)), int(4));
+
+        // Cancellation removes the entry and keeps the rest in order.
+        let mut f = e.clone();
+        f.add_term(v(2), &int(-4));
+        assert!(ascending(&f));
+        assert_eq!(f.vars().collect::<Vec<_>>(), vec![v(0), v(5), v(7)]);
+        f.add_term(v(3), &int(2));
+        f.add_term(v(9), &int(1));
+        assert!(ascending(&f));
+        assert_eq!(f.vars().collect::<Vec<_>>(), vec![v(0), v(3), v(5), v(7), v(9)]);
+
+        // Renaming reverses the order of the input, and merges two
+        // terms into one: it cancels in `h` and survives in `g`.
+        let map: HashMap<Var, Var> =
+            [(v(0), v(8)), (v(5), v(1)), (v(7), v(1)), (v(2), v(6))].into_iter().collect();
+        let g = LinExpr::from_terms(
+            [(v(0), int(1)), (v(2), int(1)), (v(5), int(3)), (v(7), int(2))],
+            int(0),
+        )
+        .rename(&map);
+        assert!(ascending(&g));
+        assert_eq!(g.vars().collect::<Vec<_>>(), vec![v(1), v(6), v(8)]);
+        assert_eq!(g.coeff(v(1)), int(5));
+        let h = e.rename(&map);
+        assert!(ascending(&h));
+        assert_eq!(h.vars().collect::<Vec<_>>(), vec![v(6), v(8)]);
+        assert_eq!((h.coeff(v(6)), h.coeff(v(8))), (int(4), int(4)));
+
+        // Sums and subtractions merge in order.
+        assert!(ascending(&(&e + &g)));
+        assert!(ascending(&(&g - &e)));
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! The design is a compact MiniSat: two-watched-literal propagation,
 //! first-UIP conflict analysis with clause learning, VSIDS-style
 //! activity heuristics with phase saving, and geometric restarts.
+//! Decisions pop from a binary max-heap of variables ordered by
+//! activity (ties to the lower index), so a decision costs O(log n)
+//! in the number of variables rather than a scan over all of them;
+//! assigned variables leave the heap lazily and return on backtrack.
 //!
 //! # Examples
 //!
@@ -141,6 +145,111 @@ struct ClauseInfo {
     lbd: u32,
 }
 
+/// Binary max-heap of variables, ordered by activity (highest first)
+/// and then by index (lowest first). Its top is the variable a linear
+/// scan over all unassigned variables would pick. The order is a pure
+/// function of the activities, so the heap's internal layout never
+/// shows in a decision.
+#[derive(Clone, Default)]
+struct OrderHeap {
+    heap: Vec<u32>,
+    /// Position of each variable in `heap`, or [`INVALID`] if absent.
+    pos: Vec<u32>,
+}
+
+impl OrderHeap {
+    fn before(activity: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    /// Registers a new variable and inserts it.
+    fn grow(&mut self, activity: &[f64]) {
+        let v = self.pos.len() as u32;
+        self.pos.push(INVALID);
+        self.insert(v, activity);
+    }
+
+    fn insert(&mut self, v: u32, activity: &[f64]) {
+        if self.pos[v as usize] != INVALID {
+            return;
+        }
+        self.pos[v as usize] = self.heap.len() as u32;
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1, activity);
+    }
+
+    fn pop(&mut self, activity: &[f64]) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty");
+        self.pos[top as usize] = INVALID;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.pos[last as usize] = 0;
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    /// Restores the heap after `v`'s activity grew.
+    fn increased(&mut self, v: u32, activity: &[f64]) {
+        let p = self.pos[v as usize];
+        if p != INVALID {
+            self.sift_up(p as usize, activity);
+        }
+    }
+
+    /// Re-heapifies the current members after arbitrary activity changes.
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !Self::before(activity, v, p) {
+                break;
+            }
+            self.heap[i] = p;
+            self.pos[p as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::before(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !Self::before(activity, c, v) {
+                break;
+            }
+            self.heap[i] = c;
+            self.pos[c as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+}
+
 /// Response of a [`TheoryHook`] to a complete boolean assignment.
 #[derive(Clone, Debug)]
 pub enum TheoryResponse {
@@ -192,11 +301,18 @@ pub struct SatSolver {
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
+    /// Decision order. Holds every unassigned variable, plus assigned
+    /// ones not yet popped.
+    order: OrderHeap,
+    /// Scratch marks for conflict analysis, all `false` between calls.
+    seen: Vec<bool>,
     ok: bool,
     conflict_limit: Option<u64>,
     conflicts: u64,
     propagations: u64,
     learned: u64,
+    /// Learned clauses currently in `clauses`.
+    learned_alive: usize,
     restarts: u64,
     /// Learned-clause size aggregate (count, sum, and per-solve-call
     /// min/max), kept as plain integers so the hot learning path never
@@ -243,11 +359,14 @@ impl SatSolver {
             qhead: 0,
             activity: Vec::new(),
             var_inc: 1.0,
+            order: OrderHeap::default(),
+            seen: Vec::new(),
             ok: true,
             conflict_limit: None,
             conflicts: 0,
             propagations: 0,
             learned: 0,
+            learned_alive: 0,
             restarts: 0,
             lsz_sum: 0,
             lsz_min: u64::MAX,
@@ -267,6 +386,8 @@ impl SatSolver {
         self.level.push(0);
         self.reason.push(INVALID);
         self.activity.push(0.0);
+        self.order.grow(&self.activity);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         v
@@ -314,7 +435,7 @@ impl SatSolver {
     /// (unlike [`num_learned`](Self::num_learned), this shrinks when
     /// DB reduction removes clauses).
     pub fn learned_db_size(&self) -> usize {
-        self.clauses.iter().filter(|c| c.learned).count()
+        self.learned_alive
     }
 
     /// Caps the number of conflicts a single [`solve`](Self::solve)
@@ -405,12 +526,13 @@ impl SatSolver {
         }
         let lim = self.trail_lim[level];
         for &l in &self.trail[lim..] {
-            self.assign[l.var().index()] = 0;
+            let v = l.var();
+            self.assign[v.index()] = 0;
+            self.order.insert(v.0, &self.activity);
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(level);
-        self.qhead = self.trail.len().min(self.qhead.min(lim));
-        self.qhead = lim.min(self.trail.len());
+        self.qhead = lim;
     }
 
     /// Unit propagation; returns a conflicting clause index if any.
@@ -478,13 +600,18 @@ impl SatSolver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Scaling can round distinct activities to equal ones, and
+            // equal activities order by index.
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.increased(v as u32, &self.activity);
         }
     }
 
     /// First-UIP conflict analysis. Returns (learned clause, backtrack level).
     fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, usize) {
         let mut learned: Vec<Lit> = vec![Lit(0)]; // placeholder for UIP
-        let mut seen = vec![false; self.num_vars()];
+        let mut seen = std::mem::take(&mut self.seen);
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut clause = conflict;
@@ -492,9 +619,9 @@ impl SatSolver {
         let decision_level = self.trail_lim.len() as u32;
 
         loop {
-            let lits: Vec<Lit> = self.clauses[clause as usize].lits.clone();
             let start = if p.is_none() { 0 } else { 1 };
-            for &q in &lits[start..] {
+            for k in start..self.clauses[clause as usize].lits.len() {
+                let q = self.clauses[clause as usize].lits[k];
                 let v = q.var().index();
                 if !seen[v] && self.level[v] > 0 {
                     seen[v] = true;
@@ -526,6 +653,12 @@ impl SatSolver {
             debug_assert_ne!(clause, INVALID, "resolved literal must have a reason");
             // skip position 0 of reason clause (the propagated literal)
         }
+        // Only the lower-level literals of the learned clause are
+        // still marked.
+        for l in &learned[1..] {
+            seen[l.var().index()] = false;
+        }
+        self.seen = seen;
 
         // Move a max-level literal into position 1: it becomes the
         // second watch, so after backjumping the clause is unit on
@@ -578,7 +711,7 @@ impl SatSolver {
     /// currently alive has crossed the ramping threshold. Only call at
     /// decision level 0 with propagation complete.
     fn maybe_reduce_db(&mut self) {
-        let alive = self.clauses.iter().filter(|c| c.learned).count() as u64;
+        let alive = self.learned_alive as u64;
         if alive < self.reduce_first + self.reduce_step * self.db_reductions {
             return;
         }
@@ -633,6 +766,7 @@ impl SatSolver {
             kept.push(c);
         }
         self.clauses = kept;
+        self.learned_alive = self.clauses.iter().filter(|c| c.learned).count();
         // Rebuild the watch lists: every clause still watches its
         // first two literals, so the watch invariant is preserved.
         for w in &mut self.watches {
@@ -672,6 +806,7 @@ impl SatSolver {
         self.activity.iter_mut().for_each(|a| *a = 0.0);
         self.phase.iter_mut().for_each(|p| *p = false);
         self.var_inc = 1.0;
+        self.order.rebuild(&self.activity);
     }
 
     /// Solves the current clause set under the given assumption
@@ -774,6 +909,7 @@ impl SatSolver {
                 self.watches[learned[1].code()].push(idx);
                 let unit = learned[0];
                 self.clauses.push(ClauseInfo { lits: learned, learned: true, lbd });
+                self.learned_alive += 1;
                 self.enqueue(unit, idx);
             }
         }
@@ -820,6 +956,7 @@ impl SatSolver {
         self.watches[clause[0].code()].push(idx);
         self.watches[clause[1].code()].push(idx);
         self.clauses.push(ClauseInfo { lits: clause, learned: true, lbd });
+        self.learned_alive += 1;
         if second < top {
             // Unit after backjumping below the top level.
             self.backtrack_to(second);
@@ -948,12 +1085,12 @@ impl SatSolver {
     /// expanding propagation reasons, until only pseudo-decisions
     /// (assumptions) remain — those, plus `failed` itself, form the
     /// core. Level-0 facts are unconditional and excluded.
-    fn analyze_final(&self, failed: Lit) -> Vec<Lit> {
+    fn analyze_final(&mut self, failed: Lit) -> Vec<Lit> {
         let mut core = vec![failed];
         if self.trail_lim.is_empty() {
             return core;
         }
-        let mut seen = vec![false; self.num_vars()];
+        let mut seen = std::mem::take(&mut self.seen);
         seen[failed.var().index()] = true;
         for i in (self.trail_lim[0]..self.trail.len()).rev() {
             let l = self.trail[i];
@@ -961,6 +1098,8 @@ impl SatSolver {
             if !seen[v] {
                 continue;
             }
+            // Every antecedent marked below sits later in this walk.
+            seen[v] = false;
             let r = self.reason[v];
             if r == INVALID {
                 // a pseudo-decision: an assumption the conflict uses
@@ -975,20 +1114,21 @@ impl SatSolver {
                 }
             }
         }
+        // `failed` may be a level-0 fact the walk never reached.
+        seen[failed.var().index()] = false;
+        self.seen = seen;
         core
     }
 
-    fn pick_branch(&self) -> Option<BVar> {
-        let mut best: Option<(usize, f64)> = None;
-        for v in 0..self.num_vars() {
-            if self.assign[v] == 0 {
-                match best {
-                    Some((_, a)) if a >= self.activity[v] => {}
-                    _ => best = Some((v, self.activity[v])),
-                }
+    /// The unassigned variable with the highest activity, lowest index
+    /// among ties. The caller must assign it: it has left the heap.
+    fn pick_branch(&mut self) -> Option<BVar> {
+        while let Some(v) = self.order.pop(&self.activity) {
+            if self.assign[v as usize] == 0 {
+                return Some(BVar(v));
             }
         }
-        best.map(|(v, _)| BVar(v as u32))
+        None
     }
 }
 
@@ -1558,6 +1698,108 @@ mod tests {
         assert_eq!(s.num_clauses() - s.learned_db_size(), problem_clauses);
         // The solver must still answer correctly after compaction.
         assert_eq!(s.solve(), SatResult::Sat);
+    }
+
+    /// The linear scan the order heap replaces: highest activity,
+    /// lowest index among ties.
+    fn scan_pick(s: &SatSolver) -> Option<BVar> {
+        let mut best: Option<(usize, f64)> = None;
+        for v in 0..s.num_vars() {
+            if s.assign[v] == 0 {
+                match best {
+                    Some((_, a)) if a >= s.activity[v] => {}
+                    _ => best = Some((v, s.activity[v])),
+                }
+            }
+        }
+        best.map(|(v, _)| BVar(v as u32))
+    }
+
+    /// Asserts the heap's pick against the scan, then hands the popped
+    /// variable back so the check does not disturb the state.
+    fn assert_pick_matches_scan(s: &mut SatSolver, step: usize) {
+        let expected = scan_pick(s);
+        let got = s.pick_branch();
+        assert_eq!(got, expected, "step {step}");
+        if let Some(v) = got {
+            s.order.insert(v.0, &s.activity);
+        }
+    }
+
+    #[test]
+    fn order_heap_picks_what_the_scan_picks() {
+        use linarb_testutil::XorShiftRng;
+        for seed in [1u64, 0xBEEF, 0x5EED_F00D] {
+            let mut rng = XorShiftRng::seed_from_u64(seed);
+            let mut s = SatSolver::new();
+            for _ in 0..40 {
+                s.new_var();
+            }
+            let mut rescales = 0;
+            for step in 0..4000 {
+                match rng.gen_range(0..100u32) {
+                    // bump a few variables, as conflict analysis does
+                    0..=39 => {
+                        for _ in 0..rng.gen_range(1..=4usize) {
+                            s.bump_var(rng.gen_range(0..s.num_vars()));
+                        }
+                        s.var_inc /= 0.95;
+                    }
+                    // decide
+                    40..=69 => {
+                        if let Some(v) = s.pick_branch() {
+                            s.trail_lim.push(s.trail.len());
+                            let lit = v.lit(rng.gen_bool(0.5));
+                            s.enqueue(lit, INVALID);
+                        }
+                    }
+                    // backjump to a random level
+                    70..=84 => {
+                        let level = rng.gen_range(0..=s.trail_lim.len());
+                        s.backtrack_to(level);
+                    }
+                    // incremental callers keep adding variables
+                    85..=89 => {
+                        s.new_var();
+                    }
+                    90..=92 => s.reset_decision_state(),
+                    // force the 1e-100 rescale; repeated rescales
+                    // underflow small activities to equal values
+                    _ => {
+                        s.var_inc = 2e100;
+                        s.bump_var(rng.gen_range(0..s.num_vars()));
+                        rescales += 1;
+                    }
+                }
+                assert_pick_matches_scan(&mut s, step);
+            }
+            assert!(rescales > 10, "seed {seed:#x}: only {rescales} rescales");
+            assert!(
+                s.activity.iter().filter(|&&a| a == 0.0).count() < s.num_vars(),
+                "seed {seed:#x}: activities never diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn rescale_ties_order_by_index() {
+        // Activities that differ before the rescale and underflow to
+        // the same value after it must order by index.
+        let mut s = SatSolver::new();
+        let vars: Vec<BVar> = (0..3).map(|_| s.new_var()).collect();
+        s.activity[2] = 1e-250;
+        s.order.increased(2, &s.activity);
+        assert_eq!(scan_pick(&s), Some(vars[2]));
+        s.var_inc = 2e100;
+        s.bump_var(0);
+        // var 0 is 2.0, vars 1 and 2 are both 0.0 now
+        assert_eq!(s.activity[1], s.activity[2]);
+        s.trail_lim.push(0);
+        let first = s.pick_branch();
+        assert_eq!(first, Some(vars[0]));
+        s.enqueue(vars[0].positive(), INVALID);
+        assert_pick_matches_scan(&mut s, 0);
+        assert_eq!(scan_pick(&s), Some(vars[1]));
     }
 
     struct ForbidBothTrue {

@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 echo "== build (release) =="
 cargo build --release --offline
 
+echo "== bench targets compile (micro, paper_eval) =="
+# No test run compiles the `benches/` targets, so without this they
+# can stop compiling unnoticed.
+cargo bench --no-run --offline -p linarb-bench
+
 echo "== tests (LINARB_THREADS=1) =="
 LINARB_THREADS=1 cargo test -q --offline --workspace
 
