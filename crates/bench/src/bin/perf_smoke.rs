@@ -8,16 +8,8 @@
 //! (one mode timing out where the other solves is a perf difference,
 //! not a soundness one).
 //!
-//! The run then sweeps parallel clause checking across 1/2/4/8 worker
-//! threads on the multi-clause subset. Cross-thread-count determinism
-//! (identical verdicts and trajectory statistics) is asserted hard;
-//! parallel slowdowns and a sub-1.3x 4-thread speedup are recorded in
-//! the report's structured `speedup_warnings` array (they depend on
-//! the machine's physical core count, so they warn rather than fail).
-//!
 //! Phase accounting is checked as an invariant: breakdown components
-//! must sum to no more than their parent phase, and (single-threaded)
-//! phases must sum to no more than the mode's wall time. Seed-harvest
+//! must sum to no more than their parent phase, and phases must sum to no more than the mode's wall time. Seed-harvest
 //! time runs *before* the solve wall clock starts and is therefore
 //! reported per mode as a separate `seed_harvest_s` alongside
 //! `wall_s`, never inside `learner_breakdown`.
@@ -94,8 +86,6 @@ struct ModeRun {
     seed_harvest_s: f64,
     seeded_atoms: usize,
     seed_hits: u64,
-    seeds_pruned: usize,
-    learn_memo_hits: usize,
     /// Allocation counters over the mode run (all-zero / disabled
     /// unless built with `count-alloc`).
     alloc: AllocStats,
@@ -123,8 +113,6 @@ fn run_mode(mode: OracleMode, suite: &[linarb_suite::Benchmark], timeout: Durati
         seed_harvest_s: 0.0,
         seeded_atoms: 0,
         seed_hits: 0,
-        seeds_pruned: 0,
-        learn_memo_hits: 0,
         alloc: AllocStats::default(),
     };
     let alloc_before = alloc::stats();
@@ -169,8 +157,6 @@ fn run_mode(mode: OracleMode, suite: &[linarb_suite::Benchmark], timeout: Durati
         run.learned_db_size += stats.learned_db_size;
         run.seeded_atoms += stats.seeded_atoms;
         run.seed_hits += stats.seed_hits;
-        run.seeds_pruned += stats.seeds_pruned;
-        run.learn_memo_hits += stats.learn_memo_hits;
         run.per_bench.push((b.name.clone(), elapsed, verdict));
         eprintln!(
             "  {:24} {:8} {:>9.3}s  checks {:4} (skipped {:3})",
@@ -194,11 +180,9 @@ fn run_mode(mode: OracleMode, suite: &[linarb_suite::Benchmark], timeout: Durati
 
 /// Phase-accounting invariants: breakdown components must sum to no
 /// more than their parent. The learner breakdown (SVM, decision tree,
-/// rationalization) always runs on the solve thread inside
-/// `core.learner`; the top-level phases sum within the mode wall only
-/// when a single worker thread is in play (absorbed speculative spans
-/// legitimately exceed wall otherwise). Slack absorbs timer rounding.
-fn check_phase_invariants(label: &str, run: &ModeRun, effective_threads: usize) {
+/// rationalization) runs inside `core.learner`, and the top-level
+/// phases run inside the mode wall. Slack absorbs timer rounding.
+fn check_phase_invariants(label: &str, run: &ModeRun) {
     let slack = 0.05 + run.learner_s * 0.02;
     let learner_parts = run.svm_s + run.dtree_s + run.rationalize_s;
     assert!(
@@ -210,89 +194,17 @@ fn check_phase_invariants(label: &str, run: &ModeRun, effective_threads: usize) 
         run.rationalize_s,
         run.learner_s
     );
-    if effective_threads == 1 {
-        let wall = run.wall.as_secs_f64();
-        let phases = run.oracle_s + run.learner_s + run.sample_extraction_s;
-        let slack = 0.10 + wall * 0.05;
-        assert!(
-            phases <= wall + slack,
-            "{label}: phases ({phases:.3}s = oracle {:.3} + learner {:.3} + \
-             sample_extraction {:.3}) exceed wall_s {wall:.3}s",
-            run.oracle_s,
-            run.learner_s,
-            run.sample_extraction_s
-        );
-    }
-}
-
-struct ThreadRun {
-    threads: usize,
-    wall: Duration,
-    verdicts: Vec<&'static str>,
-    iterations: usize,
-    samples: usize,
-    smt_checks: usize,
-    parallel_batches: usize,
-    par_checks: usize,
-    par_discarded: usize,
-    steals: u64,
-    seed_hits: u64,
-    learn_memo_hits: usize,
-}
-
-fn run_thread_sweep(
-    threads: usize,
-    suite: &[&linarb_suite::Benchmark],
-    timeout: Duration,
-) -> ThreadRun {
-    let mut tr = ThreadRun {
-        threads,
-        wall: Duration::ZERO,
-        verdicts: Vec::new(),
-        iterations: 0,
-        samples: 0,
-        smt_checks: 0,
-        parallel_batches: 0,
-        par_checks: 0,
-        par_discarded: 0,
-        steals: 0,
-        seed_hits: 0,
-        learn_memo_hits: 0,
-    };
-    for b in suite {
-        let config = SolverConfig::default()
-            .with_oracle(OracleMode::Incremental)
-            .with_threads(threads);
-        let mut solver = CegarSolver::new(&b.system, config);
-        let start = Instant::now();
-        let verdict = match solver.solve(&Budget::timeout(timeout)) {
-            SolveResult::Sat(_) => "sat",
-            SolveResult::Unsat(_) => "unsat",
-            SolveResult::Unknown(_) => "unknown",
-        };
-        tr.wall += start.elapsed();
-        let stats = solver.stats();
-        tr.verdicts.push(verdict);
-        tr.iterations += stats.iterations;
-        tr.samples += stats.samples;
-        tr.smt_checks += stats.smt_checks;
-        tr.parallel_batches += stats.parallel_batches;
-        tr.par_checks += stats.par_checks;
-        tr.par_discarded += stats.par_discarded;
-        tr.steals += stats.steal_count;
-        tr.seed_hits += stats.seed_hits;
-        tr.learn_memo_hits += stats.learn_memo_hits;
-    }
-    eprintln!(
-        "  threads {}: {:>9.3}s  batches {:4}  prechecks {:4} ({} discarded)  steals {}",
-        threads,
-        tr.wall.as_secs_f64(),
-        tr.parallel_batches,
-        tr.par_checks,
-        tr.par_discarded,
-        tr.steals,
+    let wall = run.wall.as_secs_f64();
+    let phases = run.oracle_s + run.learner_s + run.sample_extraction_s;
+    let slack = 0.10 + wall * 0.05;
+    assert!(
+        phases <= wall + slack,
+        "{label}: phases ({phases:.3}s = oracle {:.3} + learner {:.3} + \
+         sample_extraction {:.3}) exceed wall_s {wall:.3}s",
+        run.oracle_s,
+        run.learner_s,
+        run.sample_extraction_s
     );
-    tr
 }
 
 /// `BENCH_<n>.json` slot after the highest existing index in `dir`
@@ -440,9 +352,8 @@ fn main() -> ExitCode {
 
     // Phase accounting must be internally consistent before it is
     // published (the BENCH_7 seed-harvest misfiling class of bug).
-    let effective_threads = SolverConfig::default().threads;
-    check_phase_invariants("fresh", &fresh, effective_threads);
-    check_phase_invariants("incremental", &inc, effective_threads);
+    check_phase_invariants("fresh", &fresh);
+    check_phase_invariants("incremental", &inc);
 
     // Definite verdicts must never contradict each other (one mode
     // may time out where the other solves; that is a perf difference,
@@ -454,94 +365,6 @@ fn main() -> ExitCode {
             f == g || f == "unknown" || g == "unknown",
             "oracle modes contradict on {}: fresh={f} incremental={g}",
             b.name
-        );
-    }
-
-    // Parallel clause checking sweep: the multi-clause instances the
-    // incremental oracle solves, re-run at 1/2/4/8 worker threads.
-    // Verdicts and trajectory statistics must be identical at every
-    // thread count — that is the determinism contract, asserted hard
-    // below. Speedup is reported but only warned about: it depends on
-    // how many physical cores the machine has.
-    let par_suite: Vec<&linarb_suite::Benchmark> = suite
-        .iter()
-        .enumerate()
-        .filter(|(i, b)| inc.verdicts[*i] != "unknown" && b.system.clauses().len() >= 3)
-        .map(|(_, b)| b)
-        .collect();
-    eprintln!("== thread sweep ({} benchmarks) ==", par_suite.len());
-    let thread_runs: Vec<ThreadRun> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&t| run_thread_sweep(t, &par_suite, timeout))
-        .collect();
-    let base = &thread_runs[0];
-    let mut deterministic = true;
-    for tr in &thread_runs[1..] {
-        for (i, b) in par_suite.iter().enumerate() {
-            let (v1, vk) = (base.verdicts[i], tr.verdicts[i]);
-            assert!(
-                v1 == vk || v1 == "unknown" || vk == "unknown",
-                "thread counts contradict on {}: 1t={v1} {}t={vk}",
-                b.name,
-                tr.threads
-            );
-            if v1 == "unknown" || vk == "unknown" {
-                // A budget trip is wall-clock-dependent, so a timed-out
-                // run has no deterministic trajectory to compare.
-                deterministic = false;
-            }
-        }
-        if base.verdicts.iter().chain(&tr.verdicts).all(|v| *v != "unknown") {
-            assert_eq!(
-                (base.iterations, base.samples, base.smt_checks),
-                (tr.iterations, tr.samples, tr.smt_checks),
-                "trajectory diverged between 1 and {} threads",
-                tr.threads
-            );
-            // Seeding bookkeeping is part of the trajectory too: hits
-            // and memo replays must not depend on the thread count.
-            assert_eq!(
-                (base.seed_hits, base.learn_memo_hits),
-                (tr.seed_hits, tr.learn_memo_hits),
-                "seed trajectory diverged between 1 and {} threads",
-                tr.threads
-            );
-        }
-    }
-
-    // Parallel anomalies become structured report entries instead of
-    // transient stderr lines, so the regression harness (and anyone
-    // reading the committed report) sees them.
-    let mut speedup_warnings: Vec<String> = Vec::new();
-    let base_wall = base.wall.as_secs_f64();
-    for tr in &thread_runs[1..] {
-        let wall = tr.wall.as_secs_f64();
-        if wall > base_wall * 1.05 {
-            speedup_warnings.push(format!(
-                "{{\"kind\": \"parallel_slowdown\", \"threads\": {}, \"wall_s\": {:.3}, \
-                 \"baseline_wall_s\": {:.3}, \"ratio\": {:.3}}}",
-                tr.threads,
-                wall,
-                base_wall,
-                wall / base_wall.max(1e-9)
-            ));
-        }
-    }
-    let wall_4t = thread_runs
-        .iter()
-        .find(|t| t.threads == 4)
-        .map(|t| t.wall.as_secs_f64())
-        .unwrap_or(f64::INFINITY);
-    let speedup_4t = base_wall / wall_4t.max(1e-9);
-    if speedup_4t < 1.3 {
-        speedup_warnings.push(format!(
-            "{{\"kind\": \"low_4t_speedup\", \"speedup_4t\": {speedup_4t:.3}, \
-             \"target\": 1.3}}"
-        ));
-        eprintln!(
-            "warning: 4-thread speedup {speedup_4t:.2}x is below the 1.3x target \
-             (expected on machines with few physical cores; \
-             cross-thread determinism is asserted regardless)"
         );
     }
 
@@ -735,14 +558,12 @@ fn main() -> ExitCode {
             json,
             "    \"learner_breakdown\": {{\"svm_s\": {:.3}, \"dtree_s\": {:.3}, \
              \"rationalize_s\": {:.3}, \"seeded_atoms\": {}, \
-             \"seed_hits\": {}, \"seeds_pruned\": {}, \"learn_memo_hits\": {}}},",
+             \"seed_hits\": {}}},",
             run.svm_s,
             run.dtree_s,
             run.rationalize_s,
             run.seeded_atoms,
-            run.seed_hits,
-            run.seeds_pruned,
-            run.learn_memo_hits
+            run.seed_hits
         )
         .unwrap();
         if run.alloc.enabled {
@@ -794,7 +615,6 @@ fn main() -> ExitCode {
     )
     .unwrap();
     writeln!(json, "  \"full_check_delta\": {check_delta:.3},").unwrap();
-    writeln!(json, "  \"speedup_warnings\": [{}],", speedup_warnings.join(", ")).unwrap();
     writeln!(json, "  \"serve\": {{").unwrap();
     writeln!(json, "    \"bases\": {},", serve_out.bases).unwrap();
     writeln!(json, "    \"variants_per_base\": {replay_variants},").unwrap();
@@ -821,30 +641,6 @@ fn main() -> ExitCode {
     writeln!(json, "    \"exact_hit_rate\": {:.3},", hit_rate(serve_out.warm.exact_hits)).unwrap();
     writeln!(json, "    \"near_hit_rate\": {:.3},", hit_rate(serve_out.warm.near_hits)).unwrap();
     writeln!(json, "    \"mismatches\": {}", serve_out.mismatches).unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"parallel\": {{").unwrap();
-    let names: Vec<String> =
-        par_suite.iter().map(|b| format!("\"{}\"", b.name)).collect();
-    writeln!(json, "    \"suite\": [{}],", names.join(", ")).unwrap();
-    writeln!(json, "    \"runs\": [").unwrap();
-    for (i, tr) in thread_runs.iter().enumerate() {
-        writeln!(
-            json,
-            "      {{\"threads\": {}, \"wall_s\": {:.3}, \"parallel_batches\": {}, \
-             \"par_checks\": {}, \"par_discarded\": {}, \"steals\": {}}}{}",
-            tr.threads,
-            tr.wall.as_secs_f64(),
-            tr.parallel_batches,
-            tr.par_checks,
-            tr.par_discarded,
-            tr.steals,
-            if i + 1 < thread_runs.len() { "," } else { "" }
-        )
-        .unwrap();
-    }
-    writeln!(json, "    ],").unwrap();
-    writeln!(json, "    \"deterministic\": {deterministic},").unwrap();
-    writeln!(json, "    \"speedup_4t\": {speedup_4t:.3}").unwrap();
     writeln!(json, "  }}").unwrap();
     writeln!(json, "}}").unwrap();
 

@@ -1,6 +1,6 @@
 //! Integration tests for the observability subsystem: the
 //! hierarchical self-profiler, the progress reporter, and their
-//! determinism contracts across worker-thread counts.
+//! determinism contracts across repeated runs.
 
 use linarb_smt::Budget;
 use linarb_solver::{CegarSolver, ProgressReporter, ProgressSnapshot, SolveResult, SolverConfig};
@@ -8,12 +8,11 @@ use linarb_suite::fig1;
 use linarb_trace::{json, ProfileScope, ProfileTree};
 use std::time::Instant;
 
-fn solve_profiled(threads: usize) -> (ProfileTree, u128) {
+fn solve_profiled() -> (ProfileTree, u128) {
     let b = fig1();
     let scope = ProfileScope::new();
     let start = Instant::now();
-    let mut solver =
-        CegarSolver::new(&b.system, SolverConfig::default().with_threads(threads));
+    let mut solver = CegarSolver::new(&b.system, SolverConfig::default());
     let result = solver.solve(&Budget::unlimited());
     let wall_us = start.elapsed().as_micros();
     assert!(matches!(result, SolveResult::Sat(_)), "fig1 must verify");
@@ -22,7 +21,7 @@ fn solve_profiled(threads: usize) -> (ProfileTree, u128) {
 
 #[test]
 fn profile_tree_structure_and_timing() {
-    let (tree, wall_us) = solve_profiled(1);
+    let (tree, wall_us) = solve_profiled();
     // Structural invariant at every node; slack absorbs timer rounding.
     assert_eq!(tree.check_invariant(50), None);
     // The solve must appear as the single outermost span, with the
@@ -45,7 +44,7 @@ fn profile_tree_structure_and_timing() {
 
 #[test]
 fn profile_exports_parse_and_agree() {
-    let (tree, _) = solve_profiled(1);
+    let (tree, _) = solve_profiled();
     // JSON export parses with the in-tree reader and nests profile
     // nodes as objects with the four fields.
     let doc = json::parse(&tree.to_json()).expect("profile JSON parses");
@@ -76,29 +75,24 @@ fn profile_exports_parse_and_agree() {
 }
 
 #[test]
-fn profile_deterministic_across_thread_counts() {
-    let (t1, _) = solve_profiled(1);
-    let key1 = t1.deterministic_key();
-    for threads in [2, 4] {
-        let (tk, _) = solve_profiled(threads);
-        assert_eq!(
-            key1,
-            tk.deterministic_key(),
-            "profile shape/calls diverged between 1 and {threads} threads"
-        );
-    }
+fn profile_deterministic_across_runs() {
+    let (t1, _) = solve_profiled();
+    let (t2, _) = solve_profiled();
+    assert_eq!(
+        t1.deterministic_key(),
+        t2.deterministic_key(),
+        "profile shape/calls diverged between runs"
+    );
 }
 
 /// Progress trajectories (everything except wall-clock-dependent
-/// fields) must be identical at every worker-thread count.
+/// fields) must be identical from run to run.
 #[test]
-fn progress_deterministic_across_thread_counts() {
-    let run = |threads: usize| -> Vec<String> {
+fn progress_deterministic_across_runs() {
+    let run = || -> Vec<String> {
         let b = fig1();
         let reporter = ProgressReporter::collector();
-        let config = SolverConfig::default()
-            .with_threads(threads)
-            .with_progress(reporter.clone());
+        let config = SolverConfig::default().with_progress(reporter.clone());
         let mut solver = CegarSolver::new(&b.system, config);
         assert!(matches!(solver.solve(&Budget::unlimited()), SolveResult::Sat(_)));
         reporter
@@ -115,11 +109,9 @@ fn progress_deterministic_across_thread_counts() {
             })
             .collect()
     };
-    let base = run(1);
+    let base = run();
     assert!(!base.is_empty(), "fig1 must emit progress rounds");
-    for threads in [2, 4] {
-        assert_eq!(base, run(threads), "trajectory diverged at {threads} threads");
-    }
+    assert_eq!(base, run(), "progress trajectory diverged between runs");
 }
 
 /// With no scope installed, spans must not record anything — the

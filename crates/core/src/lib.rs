@@ -49,13 +49,13 @@
 
 use linarb_arith::BigInt;
 use linarb_logic::{
-    Atom, ChcSystem, Clause, ClauseHead, ClauseId, Formula, Interpretation, LinExpr, Model, PredId,
-    Var,
+    Atom, ChcSystem, Clause, ClauseHead, ClauseId, Formula, Interpretation, LinExpr, Model, PredApp,
+    PredId, Var,
 };
 use linarb_ml::{learn, learn_seeded, Dataset, LearnConfig, LearnError, Sample, SeedPlane, SeedStore};
-use linarb_pool::Pool;
 use linarb_smt::{check_sat, Budget, IncrementalSolver, Lit, SmtResult};
-use linarb_trace::{event, CollectingSink, Event, Level, LocalSinkGuard, MetricsReport};
+use linarb_trace::{event, Level, MetricsReport};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -110,8 +110,7 @@ pub trait Learner: Send + Sync {
 /// the winner: PDR publishes its inductive lemma atoms, interpolation
 /// its Farkas planes, and BMC the states of candidate counterexample
 /// prefixes. The CEGAR solver drains the bus at every round boundary —
-/// atoms flow into its [`SeedStore`] (bumping seed versions, so the
-/// learn memo invalidates naturally) and negatives into the sample
+/// atoms flow into its [`SeedStore`] and negatives into the sample
 /// stores (skipped when already derived positive, since a
 /// backward-reachable state that is also forward-derivable means the
 /// system is unsat and some engine is about to prove it).
@@ -192,30 +191,11 @@ pub struct SolverConfig {
     pub max_iterations: usize,
     /// SMT oracle strategy.
     pub oracle: OracleMode,
-    /// With the incremental oracle, clear the CDCL branching state
-    /// (activities, saved phases) before every check. Off by default.
-    /// Both settings are sound but walk different countermodel
-    /// sequences, and the refinement trajectory follows the models:
-    /// empirically, carried-over state keeps every instance the fresh
-    /// oracle solves converging (and solves the paper's program (a)
-    /// 2× faster), while resetting solves some instances the fresh
-    /// oracle cannot (jm2006, hhk2008) at the cost of diverging on
-    /// others. See DESIGN.md §8.
-    pub oracle_reset: bool,
-    /// Worker threads for parallel clause checking. Defaults to the
-    /// `LINARB_THREADS` environment variable (when set to an integer
-    /// ≥ 1), else 1 — fully sequential. Any thread count produces
-    /// bit-identical results: each round's dirty-clause frontier is
-    /// pre-checked in parallel against the round-start interpretation
-    /// and the outcomes are merged in deterministic frontier order
-    /// (see DESIGN.md §10).
-    pub threads: usize,
     /// Symbolic seeding (DESIGN.md §12): harvest candidate separating
     /// directions from clause syntax (and any attached hints/atoms),
     /// offer them to the learner as first-try separators and extra
-    /// decision-tree features, and prune the ones unsat cores never
-    /// use. Defaults to on unless `LINARB_NO_SEED=1`. Purely a
-    /// heuristic accelerator: verdicts are unaffected.
+    /// decision-tree features. Defaults to on unless `LINARB_NO_SEED=1`.
+    /// Purely a heuristic accelerator: verdicts are unaffected.
     pub seeding: bool,
     /// Extra seed atoms in predicate parameter space, injected by the
     /// caller (e.g. interpolants harvested by the bench harness from
@@ -230,18 +210,6 @@ pub struct SolverConfig {
     /// drained at every round boundary. `None` (the default) keeps the
     /// solver fully deterministic.
     pub seed_channel: Option<Arc<dyn CrossSeed>>,
-    /// Countermodel-selection heuristic: after every satisfiable
-    /// oracle check, greedily shrink the countermodel's coordinates
-    /// toward zero (coordinate descent over cheap `eval` calls,
-    /// deterministic variable order) while it still witnesses
-    /// invalidity. Samples nearer the integer hull of the feasible
-    /// region generalize better, which empirically tames the
-    /// incremental oracle's wandering trajectories on `program_a`-like
-    /// instances. Defaults to `LINARB_MODEL_MIN=1`, else off (the
-    /// knob changes solve trajectories, so the default preserves the
-    /// established BENCH baselines). `SolveStats::{model_min_improved,
-    /// model_min_kept}` record which choice won each check.
-    pub minimize_models: bool,
     /// Warm-start state captured from a previous solve of a
     /// structurally similar system (see [`SolveSnapshot`]): negative
     /// samples and seed directions are imported up front. `None` (the
@@ -249,41 +217,15 @@ pub struct SolverConfig {
     pub warm_start: Option<Arc<SolveSnapshot>>,
 }
 
-/// The `LINARB_THREADS` default for [`SolverConfig::threads`].
-fn threads_from_env() -> usize {
-    std::env::var("LINARB_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 /// The `LINARB_NO_SEED` default for [`SolverConfig::seeding`].
 fn seeding_from_env() -> bool {
     !std::env::var("LINARB_NO_SEED").is_ok_and(|s| s.trim() == "1")
 }
 
-/// The `LINARB_MODEL_MIN` default for [`SolverConfig::minimize_models`].
-fn minimize_from_env() -> bool {
-    std::env::var("LINARB_MODEL_MIN").is_ok_and(|s| s.trim() == "1")
-}
-
 impl SolverConfig {
     /// The paper's configuration with a custom learning pipeline.
     pub fn with_learn_config(learn: LearnConfig) -> SolverConfig {
-        SolverConfig {
-            learner: Arc::new(MlLearner { config: learn }),
-            max_iterations: 20_000,
-            oracle: OracleMode::default(),
-            oracle_reset: false,
-            threads: threads_from_env(),
-            seeding: seeding_from_env(),
-            seed_atoms: Vec::new(),
-            progress: None,
-            seed_channel: None,
-            minimize_models: minimize_from_env(),
-            warm_start: None,
-        }
+        SolverConfig::with_learner(Arc::new(MlLearner { config: learn }))
     }
 
     /// A configuration around any learning engine.
@@ -292,13 +234,10 @@ impl SolverConfig {
             learner,
             max_iterations: 20_000,
             oracle: OracleMode::default(),
-            oracle_reset: false,
-            threads: threads_from_env(),
             seeding: seeding_from_env(),
             seed_atoms: Vec::new(),
             progress: None,
             seed_channel: None,
-            minimize_models: minimize_from_env(),
             warm_start: None,
         }
     }
@@ -306,19 +245,6 @@ impl SolverConfig {
     /// Selects the SMT oracle strategy.
     pub fn with_oracle(mut self, oracle: OracleMode) -> SolverConfig {
         self.oracle = oracle;
-        self
-    }
-
-    /// Selects the incremental oracle's decision-reset policy (see
-    /// [`SolverConfig::oracle_reset`]).
-    pub fn with_oracle_reset(mut self, reset: bool) -> SolverConfig {
-        self.oracle_reset = reset;
-        self
-    }
-
-    /// Sets the worker-thread count (0 is promoted to 1).
-    pub fn with_threads(mut self, threads: usize) -> SolverConfig {
-        self.threads = threads.max(1);
         self
     }
 
@@ -351,13 +277,6 @@ impl SolverConfig {
         self
     }
 
-    /// Enables or disables the countermodel-minimization heuristic
-    /// (see [`SolverConfig::minimize_models`]).
-    pub fn with_minimize_models(mut self, minimize: bool) -> SolverConfig {
-        self.minimize_models = minimize;
-        self
-    }
-
     /// Attaches warm-start state from a previous solve (see
     /// [`SolverConfig::warm_start`]).
     pub fn with_warm_start(mut self, snapshot: Arc<SolveSnapshot>) -> SolverConfig {
@@ -376,17 +295,14 @@ impl fmt::Debug for SolverConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "SolverConfig {{ learner: {}, max_iterations: {}, oracle: {:?}, oracle_reset: {}, threads: {}, seeding: {}, seed_atoms: {}, progress: {}, seed_channel: {}, minimize_models: {}, warm_start: {} }}",
+            "SolverConfig {{ learner: {}, max_iterations: {}, oracle: {:?}, seeding: {}, seed_atoms: {}, progress: {}, seed_channel: {}, warm_start: {} }}",
             self.learner.name(),
             self.max_iterations,
             self.oracle,
-            self.oracle_reset,
-            self.threads,
             self.seeding,
             self.seed_atoms.len(),
             self.progress.is_some(),
             self.seed_channel.is_some(),
-            self.minimize_models,
             self.warm_start.is_some()
         )
     }
@@ -525,39 +441,17 @@ pub struct SolveStats {
     pub positive_samples: usize,
     /// Learner invocations.
     pub learn_calls: usize,
-    /// Rounds whose dirty-clause frontier was speculatively
-    /// pre-checked by the pool. Parallelism diagnostic: 0 at 1 thread
-    /// (speculation is skipped without parallelism), so — like
-    /// `par_checks`, `par_discarded`, and `steal_count` — it is
-    /// excluded from cross-thread-count determinism comparisons. All
-    /// other statistics are identical at every thread count.
-    pub parallel_batches: usize,
-    /// Speculative pre-checks issued to the pool.
-    pub par_checks: usize,
-    /// Speculative pre-checks discarded at merge time because the
-    /// interpretation had moved since their snapshot (their oracle
-    /// state was rewound; the work shows up only in wall-clock).
-    pub par_discarded: usize,
-    /// Tasks stolen across pool workers (varies run to run even at a
-    /// fixed thread count).
-    pub steal_count: u64,
     /// Simplex pivots performed across all persistent clause contexts'
-    /// warm theory tableaux. Oracle-phase diagnostic: depends on which
-    /// speculative pre-checks ran, so — like the `par_*` fields — it
-    /// is excluded from cross-thread-count determinism comparisons.
+    /// warm theory tableaux.
     pub simplex_pivots: u64,
     /// Theory-level backtracks (assertion-frame pops) across all
-    /// persistent clause contexts. Excluded from determinism
-    /// comparisons for the same reason as `simplex_pivots`.
+    /// persistent clause contexts.
     pub theory_backtracks: u64,
     /// Clause-database reductions performed by the persistent CDCL
-    /// cores. Excluded from determinism comparisons for the same
-    /// reason as `simplex_pivots`.
+    /// cores.
     pub db_reductions: u64,
     /// Learned clauses still alive in the CDCL databases after
-    /// reduction (`learned_clauses` is the lifetime total). Excluded
-    /// from determinism comparisons for the same reason as
-    /// `simplex_pivots`.
+    /// reduction (`learned_clauses` is the lifetime total).
     pub learned_db_size: usize,
     /// Symbolic seed planes harvested into the seed store (0 with
     /// seeding off).
@@ -565,25 +459,19 @@ pub struct SolveStats {
     /// Times the learner used a seed plane directly in place of a
     /// classifier run.
     pub seed_hits: u64,
-    /// Seed planes retired by unsat-core pruning.
+    /// Always 0: seed planes are never retired. Kept only for readers
+    /// that still sum it; not exported.
     pub seeds_pruned: usize,
-    /// Learner invocations answered from the memo (dataset and seed
-    /// store unchanged since the predicate's last learn).
+    /// Always 0: every learner invocation runs the learner. Kept only
+    /// for readers that still sum it; not exported.
     pub learn_memo_hits: usize,
     /// Seed atoms accepted from the cross-engine bus (0 without a
     /// [`CrossSeed`] channel; portfolio runs only, so inherently
-    /// timing-dependent and excluded from determinism comparisons).
+    /// timing-dependent).
     pub cross_seed_atoms: usize,
     /// Negative samples accepted from the cross-engine bus (0 without
-    /// a channel; excluded from determinism comparisons likewise).
+    /// a channel; timing-dependent likewise).
     pub cross_seed_negatives: usize,
-    /// Satisfiable oracle checks whose countermodel the minimization
-    /// heuristic improved (moved at least one coordinate toward
-    /// zero). 0 unless [`SolverConfig::minimize_models`] is on.
-    pub model_min_improved: u64,
-    /// Satisfiable oracle checks where minimization kept the solver's
-    /// original countermodel (already coordinate-minimal).
-    pub model_min_kept: u64,
     /// Negative samples imported from a warm-start snapshot (0 without
     /// [`SolverConfig::warm_start`]).
     pub warm_negatives: usize,
@@ -603,22 +491,14 @@ impl SolveStats {
         report.set_counter("core.samples", self.samples as u64);
         report.set_counter("core.positive_samples", self.positive_samples as u64);
         report.set_counter("core.learn_calls", self.learn_calls as u64);
-        report.set_counter("core.parallel_batches", self.parallel_batches as u64);
-        report.set_counter("core.par_checks", self.par_checks as u64);
-        report.set_counter("core.par_discarded", self.par_discarded as u64);
-        report.set_counter("core.steal_count", self.steal_count);
         report.set_counter("core.simplex_pivots", self.simplex_pivots);
         report.set_counter("core.theory_backtracks", self.theory_backtracks);
         report.set_counter("core.db_reductions", self.db_reductions);
         report.set_counter("core.learned_db_size", self.learned_db_size as u64);
         report.set_counter("core.seeded_atoms", self.seeded_atoms as u64);
         report.set_counter("core.seed_hits", self.seed_hits);
-        report.set_counter("core.seeds_pruned", self.seeds_pruned as u64);
-        report.set_counter("core.learn_memo_hits", self.learn_memo_hits as u64);
         report.set_counter("core.cross_seed_atoms", self.cross_seed_atoms as u64);
         report.set_counter("core.cross_seed_negatives", self.cross_seed_negatives as u64);
-        report.set_counter("core.model_min_improved", self.model_min_improved);
-        report.set_counter("core.model_min_kept", self.model_min_kept);
         report.set_counter("core.warm_negatives", self.warm_negatives as u64);
         report.set_counter("core.warm_seed_dirs", self.warm_seed_dirs as u64);
     }
@@ -640,16 +520,9 @@ impl SolveStats {
 /// under an activation literal and cached here by structural equality;
 /// re-checking the clause under a partially-changed interpretation
 /// re-assumes cached guards and encodes only the genuinely new pieces.
-#[derive(Clone)]
 struct ClauseContext {
     solver: IncrementalSolver,
     guards: HashMap<Formula, Lit>,
-    /// Per-guard seed bookkeeping: the predicate whose interpretation
-    /// the guarded piece instantiates, and the parameter-space
-    /// directions of that interpretation's atoms. Consulted after an
-    /// `Unsat` answer to tell core-relevant directions from dead
-    /// weight (empty when seeding is off).
-    guard_dirs: HashMap<Lit, Vec<(PredId, Vec<BigInt>)>>,
     /// The countermodel from the last invalid check: re-evaluated
     /// before the next check, and if it still witnesses invalidity the
     /// oracle is skipped entirely.
@@ -657,9 +530,8 @@ struct ClauseContext {
 }
 
 impl ClauseContext {
-    fn new(clause: &Clause, reset_decisions: bool) -> ClauseContext {
+    fn new(clause: &Clause) -> ClauseContext {
         let mut solver = IncrementalSolver::new();
-        solver.set_decision_reset(reset_decisions);
         solver.assert_permanent(&clause.constraint);
         if let ClauseHead::Goal(g) = &clause.head {
             solver.assert_permanent(&Formula::not(g.clone()));
@@ -667,7 +539,6 @@ impl ClauseContext {
         ClauseContext {
             solver,
             guards: HashMap::new(),
-            guard_dirs: HashMap::new(),
             last_countermodel: None,
         }
     }
@@ -718,112 +589,27 @@ impl SolveSnapshot {
     }
 }
 
-/// Statistics accumulated by one oracle check, kept separate from
-/// [`SolveStats`] so checks can run on worker threads and be folded
-/// into the solver's totals at merge time (in frontier order).
-#[derive(Debug, Default)]
-struct CheckDelta {
-    smt_checks: usize,
-    smt_checks_skipped: usize,
-    ctx_reuse_hits: usize,
-    /// Unsat-core observations for the seed store, in deterministic
-    /// guard order: `(pred, direction, appeared_in_core)` for every
-    /// direction behind an active guard of an `Unsat` answer. Applied
-    /// at merge time (frontier order), so seed pruning is identical at
-    /// every thread count.
-    core_notes: Vec<(PredId, Vec<BigInt>, bool)>,
-    /// Countermodel-minimization outcomes (see
-    /// [`SolverConfig::minimize_models`]).
-    model_min_improved: u64,
-    model_min_kept: u64,
-}
-
-/// Everything a speculative pre-check task sends back to the merge
-/// loop. Nothing in here has touched solver state yet: the merge loop
-/// either consumes the whole package (result, mutated context,
-/// statistics, trace events, metrics) in place of the live check it
-/// replaces, or discards everything and restores the backup.
-struct Precheck {
-    /// The clause's persistent context as the check left it (installed
-    /// when the speculation is consumed).
-    ctx: Option<ClauseContext>,
-    /// The context as it was *before* the check (restored when the
-    /// speculation is discarded — the serial path never ran this
-    /// check, so its state mutations must not survive).
-    backup: Option<ClauseContext>,
-    result: SmtResult,
-    delta: CheckDelta,
-    /// Trace events collected on the worker, replayed if consumed.
-    events: Vec<Event>,
-    /// Metrics collected on the worker, absorbed if consumed.
-    report: Option<MetricsReport>,
-    /// Profiler call tree recorded on the worker, grafted into the
-    /// merge thread's tree if consumed — at the merge loop's current
-    /// span position, i.e. exactly where the serial check would have
-    /// grown it, so profiles agree at every thread count.
-    profile: Option<linarb_trace::ProfileTree>,
-    worker: u64,
-}
-
-/// Whether `clause` mentions (in body or head) any predicate in
-/// `preds` — i.e. whether its validity could depend on those
-/// interpretations.
-fn mentions_any(clause: &Clause, preds: &HashSet<PredId>) -> bool {
-    if preds.is_empty() {
-        return false;
-    }
-    clause.body_preds.iter().any(|a| preds.contains(&a.pred))
-        || matches!(&clause.head, ClauseHead::Pred(a) if preds.contains(&a.pred))
-}
-
-/// One SMT validity check of `clause` under `interp`. Everything it
-/// touches is passed in — no `&mut CegarSolver` — so it can run on a
-/// pool worker; the clause's persistent context (if any) travels
+/// One SMT validity check of `clause` under `interp`, through the
+/// oracle `mode`. The clause's persistent context (if any) travels
 /// through `ctx_slot`.
-#[allow(clippy::too_many_arguments)]
 fn oracle_check(
     sys: &ChcSystem,
     interp: &Interpretation,
     clause: &Clause,
     mode: OracleMode,
-    reset_decisions: bool,
-    collect_cores: bool,
-    minimize: bool,
     ctx_slot: &mut Option<ClauseContext>,
     budget: &Budget,
-    delta: &mut CheckDelta,
+    stats: &mut SolveStats,
 ) -> SmtResult {
     // The span covers skipped/cached answers too: "core.oracle" in
     // the metrics report is the loop's total oracle-side time.
     let mut span = linarb_trace::span(Level::Debug, "core", "core.oracle");
-    delta.smt_checks += 1;
+    stats.smt_checks += 1;
     let result = match mode {
-        OracleMode::Fresh => {
-            let chk = sys.validity_check(clause, interp);
-            match check_sat(&chk, budget) {
-                SmtResult::Sat(m) if minimize => {
-                    let (m, improved) = minimize_countermodel(&chk, &m);
-                    if improved {
-                        delta.model_min_improved += 1;
-                    } else {
-                        delta.model_min_kept += 1;
-                    }
-                    SmtResult::Sat(m)
-                }
-                r => r,
-            }
+        OracleMode::Fresh => check_sat(&sys.validity_check(clause, interp), budget),
+        OracleMode::Incremental => {
+            oracle_check_incremental(sys, interp, clause, ctx_slot, budget, stats)
         }
-        OracleMode::Incremental => oracle_check_incremental(
-            sys,
-            interp,
-            clause,
-            reset_decisions,
-            collect_cores,
-            minimize,
-            ctx_slot,
-            budget,
-            delta,
-        ),
     };
     if span.active() {
         span.record("clause", clause.id.0);
@@ -832,27 +618,23 @@ fn oracle_check(
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn oracle_check_incremental(
     sys: &ChcSystem,
     interp: &Interpretation,
     clause: &Clause,
-    reset_decisions: bool,
-    collect_cores: bool,
-    minimize: bool,
     ctx_slot: &mut Option<ClauseContext>,
     budget: &Budget,
-    delta: &mut CheckDelta,
+    stats: &mut SolveStats,
 ) -> SmtResult {
     // An unconstrained head (`true`) cannot be violated: the check
     // formula contains the conjunct ¬true.
     if let ClauseHead::Pred(app) = &clause.head {
         if !interp.contains_key(&app.pred) {
-            delta.smt_checks_skipped += 1;
+            stats.smt_checks_skipped += 1;
             return SmtResult::Unsat;
         }
     }
-    let ctx = ctx_slot.get_or_insert_with(|| ClauseContext::new(clause, reset_decisions));
+    let ctx = ctx_slot.get_or_insert_with(|| ClauseContext::new(clause));
     // Countermodel reuse: if the previous countermodel still
     // violates the clause under the *current* interpretation, it is
     // a valid answer and the oracle run is skipped. Two guards keep
@@ -865,64 +647,38 @@ fn oracle_check_incremental(
     if let Some(m) = ctx.last_countermodel.take() {
         let chk = sys.validity_check(clause, interp);
         if chk.vars().iter().all(|v| m.get(*v).is_some()) && chk.eval(&m) {
-            delta.smt_checks_skipped += 1;
+            stats.smt_checks_skipped += 1;
             return SmtResult::Sat(m);
         }
     }
-    // Assemble the interpretation-dependent pieces and their
-    // activation literals, encoding only pieces this context has
-    // never seen.
+    // Assemble the interpretation-dependent pieces (body
+    // instantiations, then the negated head) and their activation
+    // literals, encoding only pieces this context has never seen.
+    let instantiate = |app: &PredApp| {
+        app.instantiate(ChcSystem::interp_of(interp, app.pred), &sys.pred(app.pred).params)
+    };
+    let head = match &clause.head {
+        ClauseHead::Pred(app) => Some(Formula::not(instantiate(app))),
+        ClauseHead::Goal(_) => None,
+    };
     let mut active: Vec<Lit> = Vec::new();
-    let mut add_piece =
-        |piece: Formula, dirs: Vec<(PredId, Vec<BigInt>)>, ctx: &mut ClauseContext, hits: &mut usize| {
-            if matches!(piece, Formula::True) {
-                return;
+    for piece in clause.body_preds.iter().map(instantiate).chain(head) {
+        if matches!(piece, Formula::True) {
+            continue;
+        }
+        let g = match ctx.guards.entry(piece) {
+            Entry::Occupied(e) => {
+                stats.ctx_reuse_hits += 1;
+                *e.get()
             }
-            match ctx.guards.get(&piece) {
-                Some(&g) => {
-                    *hits += 1;
-                    active.push(g);
-                }
-                None => {
-                    let g = ctx.solver.push_guarded(&piece);
-                    ctx.guards.insert(piece, g);
-                    if !dirs.is_empty() {
-                        ctx.guard_dirs.insert(g, dirs);
-                    }
-                    active.push(g);
-                }
+            Entry::Vacant(e) => {
+                let g = ctx.solver.push_guarded(e.key());
+                *e.insert(g)
             }
         };
-    for app in &clause.body_preds {
-        let f = ChcSystem::interp_of(interp, app.pred);
-        let params = &sys.pred(app.pred).params;
-        let dirs = if collect_cores { param_dirs(f, params, app.pred) } else { Vec::new() };
-        let piece = app.instantiate(f, params);
-        add_piece(piece, dirs, ctx, &mut delta.ctx_reuse_hits);
+        active.push(g);
     }
-    if let ClauseHead::Pred(app) = &clause.head {
-        let f = ChcSystem::interp_of(interp, app.pred);
-        let params = &sys.pred(app.pred).params;
-        let dirs = if collect_cores { param_dirs(f, params, app.pred) } else { Vec::new() };
-        let piece = Formula::not(app.instantiate(f, params));
-        add_piece(piece, dirs, ctx, &mut delta.ctx_reuse_hits);
-    }
-    let result = match ctx.solver.check(&active, budget) {
-        // Countermodels served from the reuse fast path above were
-        // already minimized when first cached, so only freshly found
-        // models go through the heuristic (and get counted).
-        SmtResult::Sat(m) if minimize => {
-            let chk = sys.validity_check(clause, interp);
-            let (m, improved) = minimize_countermodel(&chk, &m);
-            if improved {
-                delta.model_min_improved += 1;
-            } else {
-                delta.model_min_kept += 1;
-            }
-            SmtResult::Sat(m)
-        }
-        r => r,
-    };
+    let result = ctx.solver.check(&active, budget);
     if let SmtResult::Sat(m) = &result {
         debug_assert!(
             sys.validity_check(clause, interp).eval(m),
@@ -930,89 +686,7 @@ fn oracle_check_incremental(
         );
         ctx.last_countermodel = Some(m.clone());
     }
-    if collect_cores && result.is_unsat() {
-        // Every direction behind an active guard "reached the oracle"
-        // in this refutation; the ones whose guard made the final
-        // conflict are core-useful. Guard order (body, then head) keeps
-        // the notes deterministic.
-        let core = ctx.solver.last_unsat_core();
-        for g in &active {
-            if let Some(dirs) = ctx.guard_dirs.get(g) {
-                let useful = core.contains(g);
-                for (pred, dir) in dirs {
-                    delta.core_notes.push((*pred, dir.clone(), useful));
-                }
-            }
-        }
-    }
     result
-}
-
-/// The parameter-space directions of a predicate interpretation's
-/// atoms, tagged with the predicate — the currency of unsat-core seed
-/// accounting. Atoms mentioning non-parameter variables (none in
-/// practice) are skipped.
-fn param_dirs(f: &Formula, params: &[Var], pred: PredId) -> Vec<(PredId, Vec<BigInt>)> {
-    f.atoms()
-        .iter()
-        .filter_map(|a| {
-            let expr = a.expr();
-            if expr.vars().any(|v| !params.contains(&v)) {
-                return None;
-            }
-            let dir: Vec<BigInt> = params.iter().map(|v| expr.coeff(*v)).collect();
-            dir.iter().any(|c| !c.is_zero()).then_some((pred, dir))
-        })
-        .collect()
-}
-
-/// The countermodel-selection heuristic behind
-/// [`SolverConfig::minimize_models`]: greedy coordinate descent
-/// toward zero over cheap `eval` calls. For each variable (in index
-/// order) try zero, the half-way point, and one step toward zero,
-/// keeping the first candidate under which `chk` still evaluates to
-/// true — i.e. the model still witnesses the clause violation. Passes
-/// repeat while any coordinate moves (bounded), so the result is
-/// componentwise minimal up to the candidate grid. Deterministic,
-/// oracle-free, and sound: the returned model satisfies `chk`
-/// whenever the input did.
-fn minimize_countermodel(chk: &Formula, m: &Model) -> (Model, bool) {
-    let mut vars: Vec<Var> = chk.vars().into_iter().collect();
-    vars.sort();
-    let mut cur = m.clone();
-    let mut changed = false;
-    let two = BigInt::from(2);
-    for _ in 0..4 {
-        let mut improved = false;
-        for &v in &vars {
-            let val = cur.value(v);
-            if val.is_zero() {
-                continue;
-            }
-            let half = val.div_rem(&two).0;
-            let step = if val.is_negative() {
-                &val + &BigInt::one()
-            } else {
-                &val - &BigInt::one()
-            };
-            for cand in [BigInt::zero(), half, step] {
-                if cand == val {
-                    continue;
-                }
-                let prev = cur.assign(v, cand);
-                if chk.eval(&cur) {
-                    improved = true;
-                    changed = true;
-                    break;
-                }
-                cur.assign(v, prev.unwrap_or_else(|| val.clone()));
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    (cur, changed)
 }
 
 /// Returns the variable of a single-variable, unit-coefficient,
@@ -1084,24 +758,13 @@ pub struct CegarSolver<'a> {
     /// body samples it consumed, and the witnessing model.
     justif: HashMap<(PredId, Sample), (ClauseId, Vec<(PredId, Sample)>, Model)>,
     /// Persistent per-clause oracle contexts ([`OracleMode::Incremental`]).
-    /// During a batch pre-check each frontier clause's context moves
-    /// into its worker task and back; between rounds they all live
-    /// here.
     contexts: HashMap<ClauseId, ClauseContext>,
-    pool: Pool,
     stats: SolveStats,
     /// Symbolic seed planes per predicate (empty when seeding is off).
     seeds: SeedStore,
-    /// Per-predicate learn memo: the key identifying the inputs of the
-    /// last learner run — `(num_positive, neg_epoch, num_negative,
-    /// seed version)`; both sample classes are append-only within a
-    /// negative epoch, so matching keys mean identical datasets — and
-    /// its result. One entry per predicate suffices: keys never
-    /// revisit an earlier state.
-    learn_memo: HashMap<PredId, ((usize, u64, usize, u64), Formula)>,
-    /// Cumulative oracle-phase micros this solve (pre-check batches +
-    /// live checks), reported through [`ProgressReporter`]. Wall-clock
-    /// — never feeds back into the trajectory.
+    /// Cumulative oracle-phase micros this solve, reported through
+    /// [`ProgressReporter`]. Wall-clock — never feeds back into the
+    /// trajectory.
     phase_oracle_us: u64,
     /// Cumulative resolve-phase micros this solve (sample extraction,
     /// learning, interpretation updates).
@@ -1118,7 +781,6 @@ impl<'a> CegarSolver<'a> {
             .iter()
             .map(|p| (p.id, Dataset::new(p.arity())))
             .collect();
-        let pool = Pool::new(config.threads.max(1));
         let mut stats = SolveStats::default();
         let warm = config.warm_start.clone();
         let mut seeds = SeedStore::new();
@@ -1164,10 +826,8 @@ impl<'a> CegarSolver<'a> {
             data,
             justif: HashMap::new(),
             contexts: HashMap::new(),
-            pool,
             stats,
             seeds,
-            learn_memo: HashMap::new(),
             phase_oracle_us: 0,
             phase_resolve_us: 0,
             round: 0,
@@ -1230,25 +890,13 @@ impl<'a> CegarSolver<'a> {
     fn solve_inner(&mut self, budget: &Budget) -> SolveResult {
         // Dirty-set scheduling: a clause needs (re)checking iff the
         // interpretation of a predicate it mentions changed. Work
-        // proceeds in rounds: each round snapshots the dirty queue in
-        // FIFO dirtying order — the order the merges enqueued clauses
-        // in, which preserves the paper's propagation preference
-        // (consumers of a weakened head before the clause that
-        // weakened it) — pre-checks every frontier clause against the
-        // round-start interpretation (in parallel when the pool and
-        // frontier allow it), and then merges the outcomes
-        // sequentially in that same order.
-        //
-        // The merge loop replays the *sequential* algorithm exactly: a
-        // pre-check seed is consumed only when none of the clause's
-        // predicates changed interpretation since round start — then
-        // the seed (result and mutated oracle context alike) is
-        // byte-identical to the live check the serial loop would run —
-        // and discarded otherwise, restoring the context snapshot the
-        // worker took before checking. The refinement trajectory is
-        // therefore not merely deterministic per thread count: it is
-        // the same trajectory at every thread count, parallelism only
-        // changes which checks come precomputed.
+        // proceeds in rounds: each round drains the dirty queue in
+        // FIFO dirtying order — the order the resolutions enqueued
+        // clauses in, which preserves the paper's propagation
+        // preference (consumers of a weakened head before the clause
+        // that weakened it) — and refines each frontier clause until
+        // it is valid. Round boundaries are where progress snapshots
+        // are emitted and the cross-engine seed bus is drained.
         let mut dirty: VecDeque<ClauseId> =
             self.sys.clauses().iter().map(|c| c.id).collect();
         let mut dirty_set: HashSet<ClauseId> = dirty.iter().copied().collect();
@@ -1260,14 +908,6 @@ impl<'a> CegarSolver<'a> {
             if budget.exhausted() {
                 self.finalize_stats();
                 return SolveResult::Unknown(UnknownReason::Timeout);
-            }
-            // Round boundary: retire seed planes the oracle has
-            // repeatedly judged irrelevant (never in an unsat core).
-            // Purely counter-based — a trait of the trajectory, not
-            // the clock — so pruning happens at the same iteration at
-            // every thread count.
-            if self.config.seeding {
-                self.seeds.prune_dead();
             }
             // Round boundary: absorb whatever the racing engines have
             // published since the last round (portfolio runs only).
@@ -1284,37 +924,11 @@ impl<'a> CegarSolver<'a> {
             }
             let frontier: Vec<ClauseId> = dirty.drain(..).collect();
             // Note: `dirty_set` keeps the frontier clauses until each
-            // one's merge turn, so mid-round dirtying of a clause that
-            // is still pending this round stays a no-op — exactly the
-            // sequential queue's dedup behaviour.
-            let precheck_start = Instant::now();
-            let seeds = self.precheck_frontier(&frontier, budget);
-            self.phase_oracle_us += precheck_start.elapsed().as_micros() as u64;
-            // Predicates whose interpretation changed since the
-            // round-start snapshot the pre-checks ran against.
-            let mut changed_round: HashSet<PredId> = HashSet::new();
-            for (&cid, seed) in frontier.iter().zip(seeds) {
+            // one's turn, so mid-round dirtying of a clause that is
+            // still pending this round stays a no-op.
+            for cid in frontier {
                 dirty_set.remove(&cid);
                 let clause = self.sys.clause(cid);
-                // Decide the speculation's fate up front: a seed is
-                // consumable iff no predicate this clause mentions
-                // changed since the pre-check's snapshot — then result
-                // and context state are byte-identical to the live
-                // check below. Otherwise rewind to the snapshot.
-                let mut speculation: Option<Precheck> = None;
-                if let Some(mut s) = seed {
-                    if mentions_any(clause, &changed_round) {
-                        self.stats.par_discarded += 1;
-                        if let Some(ctx) = s.backup {
-                            self.contexts.insert(cid, ctx);
-                        }
-                    } else {
-                        if let Some(ctx) = s.ctx.take() {
-                            self.contexts.insert(cid, ctx);
-                        }
-                        speculation = Some(s);
-                    }
-                }
                 // Inner loop: resolve this clause until valid.
                 loop {
                     self.stats.iterations += 1;
@@ -1328,33 +942,9 @@ impl<'a> CegarSolver<'a> {
                         self.finalize_stats();
                         return SolveResult::Unknown(UnknownReason::Timeout);
                     }
-                    let result = match speculation.take() {
-                        // First check comes precomputed: account for it
-                        // exactly as if it ran here — fold in its
-                        // statistics, replay its trace events (stamped
-                        // with the worker that ran it), absorb its
-                        // metrics.
-                        Some(p) => {
-                            self.apply_delta(&p.delta);
-                            for mut e in p.events {
-                                e.thread = Some(p.worker);
-                                linarb_trace::replay(&e);
-                            }
-                            if let Some(rep) = &p.report {
-                                linarb_trace::metrics::absorb_current(rep);
-                            }
-                            if let Some(tree) = &p.profile {
-                                linarb_trace::profile::absorb_current(tree);
-                            }
-                            p.result
-                        }
-                        None => {
-                            let t = Instant::now();
-                            let r = self.check_clause(clause, budget);
-                            self.phase_oracle_us += t.elapsed().as_micros() as u64;
-                            r
-                        }
-                    };
+                    let oracle_start = Instant::now();
+                    let result = self.check_clause(clause, budget);
+                    self.phase_oracle_us += oracle_start.elapsed().as_micros() as u64;
                     let model = match result {
                         SmtResult::Unsat => break, // clause valid
                         SmtResult::Unknown => {
@@ -1372,7 +962,6 @@ impl<'a> CegarSolver<'a> {
                             // clauses that consume h in the body (the
                             // paper's propagation order) by pushing this
                             // clause last.
-                            changed_round.insert(h);
                             self.mark_dirty(h, &mut dirty, &mut dirty_set);
                             if dirty_set.insert(cid) {
                                 dirty.push_back(cid);
@@ -1381,7 +970,6 @@ impl<'a> CegarSolver<'a> {
                         }
                         Resolution::BodyStrengthened(changed) => {
                             for p in changed {
-                                changed_round.insert(p);
                                 self.mark_dirty(p, &mut dirty, &mut dirty_set);
                             }
                             // keep refining this same clause (inner loop)
@@ -1450,118 +1038,10 @@ impl<'a> CegarSolver<'a> {
                 .iter()
                 .map(|p| self.seeds.version(p.id))
                 .sum(),
-            seeds_pruned: self.seeds.total_pruned(),
             oracle_us: self.phase_oracle_us,
             resolve_us: self.phase_resolve_us,
             time_left_ms: budget.remaining().map(|d| d.as_millis() as u64),
             conflicts_left: budget.effective_conflict_limit(),
-        }
-    }
-
-    /// Runs this round's oracle pre-checks — one isolated task per
-    /// frontier clause, all against the round-start interpretation —
-    /// and returns per-clause outcomes in frontier order.
-    ///
-    /// With ≥ 2 frontier clauses the checks are farmed out to the
-    /// pool: each clause's persistent [`ClauseContext`] moves into its
-    /// task (keyed by clause id), is snapshotted there, and both
-    /// states travel back; statistics, trace events, and metrics are
-    /// merged on this thread in frontier (FIFO dirtying) order — so
-    /// the observable outcome is identical at every thread count.
-    /// Worker-side events are stamped with their worker id before
-    /// replay. The pre-checks are **pure speculation**: the merge loop
-    /// consumes a seed only when it is provably the check the serial
-    /// algorithm would have run (see `solve_inner`), and restores the
-    /// pre-check snapshot otherwise. With a 1-thread pool, or a
-    /// single-clause frontier, the machinery is skipped entirely
-    /// (`None` seeds): speculation costs context snapshots and
-    /// possibly-wasted checks, which only parallel execution pays for.
-    fn precheck_frontier(
-        &mut self,
-        frontier: &[ClauseId],
-        budget: &Budget,
-    ) -> Vec<Option<Precheck>> {
-        if self.pool.threads() < 2 || frontier.len() < 2 {
-            return frontier.iter().map(|_| None).collect();
-        }
-        self.stats.parallel_batches += 1;
-        self.stats.par_checks += frontier.len();
-        let inputs: Vec<(ClauseId, Option<ClauseContext>)> = frontier
-            .iter()
-            .map(|&cid| (cid, self.contexts.remove(&cid)))
-            .collect();
-        let sys = self.sys;
-        let interp = &self.interp;
-        let mode = self.config.oracle;
-        let reset = self.config.oracle_reset;
-        // Each task mirrors the caller's tracing/metrics setup: a
-        // worker-local collecting sink at the caller's effective level
-        // and a worker-local metrics scope, both merged below. When
-        // neither is on, tasks skip capture entirely.
-        let level = linarb_trace::effective_level();
-        let metrics_on = linarb_trace::metrics::metrics_enabled();
-        let profile_on = linarb_trace::profile::profiling_enabled();
-        let seeding = self.config.seeding;
-        let minimize = self.config.minimize_models;
-        let outcomes = self.pool.parallel_map(inputs, move |(cid, slot)| {
-            let clause = sys.clause(cid);
-            // Snapshot the context on the worker (clones in parallel)
-            // so the merge loop can undo the whole check.
-            let backup = slot.clone();
-            let mut slot = slot;
-            let mut delta = CheckDelta::default();
-            let mut events: Vec<Event> = Vec::new();
-            let mut report: Option<MetricsReport> = None;
-            let mut profile: Option<linarb_trace::ProfileTree> = None;
-            let result = {
-                let sink = (level != Level::Off).then(CollectingSink::new);
-                let _guard = sink
-                    .clone()
-                    .map(|s| LocalSinkGuard::install(Box::new(s), level));
-                let scope = metrics_on.then(linarb_trace::MetricsScope::new);
-                let pscope = profile_on.then(linarb_trace::ProfileScope::new);
-                let r = oracle_check(
-                    sys, interp, clause, mode, reset, seeding, minimize, &mut slot,
-                    budget, &mut delta,
-                );
-                if let Some(s) = &sink {
-                    events = s.take();
-                }
-                if let Some(sc) = &scope {
-                    report = Some(sc.take_report());
-                }
-                if let Some(ps) = &pscope {
-                    profile = Some(ps.take_tree());
-                }
-                r
-            };
-            Precheck {
-                ctx: slot,
-                backup,
-                result,
-                delta,
-                events,
-                report,
-                profile,
-                worker: linarb_pool::current_worker() as u64,
-            }
-        });
-        outcomes.into_iter().map(Some).collect()
-    }
-
-    /// Folds a worker task's statistics into the solver's. Unsat-core
-    /// notes flow through here too, so seed usefulness bookkeeping
-    /// only ever sees *consumed* checks, in merge order — discarded
-    /// speculation leaves the [`SeedStore`] untouched, keeping the
-    /// seed trajectory identical at every thread count.
-    fn apply_delta(&mut self, delta: &CheckDelta) {
-        self.stats.smt_checks += delta.smt_checks;
-        self.stats.smt_checks_skipped += delta.smt_checks_skipped;
-        self.stats.ctx_reuse_hits += delta.ctx_reuse_hits;
-        self.stats.model_min_improved += delta.model_min_improved;
-        self.stats.model_min_kept += delta.model_min_kept;
-        for (p, dir, useful) in &delta.core_notes {
-            self.seeds.note_core(*p, dir, *useful);
         }
     }
 
@@ -1594,34 +1074,26 @@ impl<'a> CegarSolver<'a> {
             .values()
             .map(|c| c.solver.learned_db_size())
             .sum();
-        self.stats.steal_count = self.pool.steal_count();
         self.stats.seeded_atoms = self.seeds.total_added();
         self.stats.seed_hits = self.seeds.total_hits();
-        self.stats.seeds_pruned = self.seeds.total_pruned();
     }
 
     /// One SMT validity check of `clause` under the current
-    /// interpretation, through the configured oracle (serial path:
-    /// used by the merge loop's live checks).
+    /// interpretation, through the configured oracle.
     fn check_clause(&mut self, clause: &Clause, budget: &Budget) -> SmtResult {
         let mut slot = self.contexts.remove(&clause.id);
-        let mut delta = CheckDelta::default();
         let result = oracle_check(
             self.sys,
             &self.interp,
             clause,
             self.config.oracle,
-            self.config.oracle_reset,
-            self.config.seeding,
-            self.config.minimize_models,
             &mut slot,
             budget,
-            &mut delta,
+            &mut self.stats,
         );
         if let Some(ctx) = slot {
             self.contexts.insert(clause.id, ctx);
         }
-        self.apply_delta(&delta);
         result
     }
 
@@ -1716,26 +1188,6 @@ impl<'a> CegarSolver<'a> {
             for p in &changed {
                 let pred = self.sys.pred(*p);
                 let ds = &self.data[p];
-                // The learner is a pure function of (positives,
-                // negative epoch, negatives, seed planes): positives
-                // only grow, negatives only grow within an epoch
-                // (`clear_negatives` bumps the epoch), and seed
-                // mutations bump the per-predicate seed version — so
-                // this key uniquely identifies the learner's input and
-                // a matching memo entry can be replayed verbatim.
-                let key = (
-                    ds.num_positive(),
-                    ds.neg_epoch(),
-                    ds.num_negative(),
-                    self.seeds.version(*p),
-                );
-                if let Some((k, f)) = self.learn_memo.get(p) {
-                    if *k == key {
-                        self.stats.learn_memo_hits += 1;
-                        self.interp.insert(*p, f.clone());
-                        continue;
-                    }
-                }
                 self.stats.learn_calls += 1;
                 let learned = {
                     let planes: &[SeedPlane] = if self.config.seeding {
@@ -1750,7 +1202,6 @@ impl<'a> CegarSolver<'a> {
                         for i in hits {
                             self.seeds.note_hit(*p, i);
                         }
-                        self.learn_memo.insert(*p, (key, f.clone()));
                         self.interp.insert(*p, f);
                     }
                     Err(LearnError::ContradictorySamples(s)) => {
@@ -2101,88 +1552,6 @@ mod tests {
             SolveResult::Unknown(UnknownReason::IterationLimit) => {}
             other => panic!("expected iteration limit, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn any_thread_count_matches_sequential_exactly() {
-        let sys = parse_chc(FIG1).unwrap();
-        let run = |threads: usize| {
-            let mut s =
-                CegarSolver::new(&sys, SolverConfig::default().with_threads(threads));
-            let r = s.solve(&Budget::unlimited());
-            let SolveResult::Sat(interp) = r else {
-                panic!("fig1 must verify at {threads} threads");
-            };
-            (interp, s.stats().clone())
-        };
-        let (i1, s1) = run(1);
-        assert_eq!(s1.parallel_batches, 0, "1 thread must not speculate");
-        for threads in [2, 4, 8] {
-            let (ik, sk) = run(threads);
-            assert_eq!(i1, ik, "interpretation must be identical at {threads} threads");
-            // Everything except the parallelism diagnostics is
-            // byte-identical: the merge loop replays the sequential
-            // trajectory regardless of thread count.
-            assert_eq!(s1.iterations, sk.iterations);
-            assert_eq!(s1.smt_checks, sk.smt_checks);
-            assert_eq!(s1.smt_checks_skipped, sk.smt_checks_skipped);
-            assert_eq!(s1.ctx_reuse_hits, sk.ctx_reuse_hits);
-            assert_eq!(s1.samples, sk.samples);
-            assert_eq!(s1.positive_samples, sk.positive_samples);
-            assert_eq!(s1.learn_calls, sk.learn_calls);
-            assert!(sk.parallel_batches > 0, "{threads} threads must speculate on fig1");
-            assert!(sk.par_checks >= sk.par_discarded);
-            // Oracle-phase diagnostics (simplex_pivots,
-            // theory_backtracks, db_reductions, learned_db_size) are
-            // deliberately NOT compared: speculative pre-checks run
-            // (and are sometimes discarded) only when threads > 1, so
-            // their oracle work varies with the thread count even
-            // though the solve trajectory does not.
-        }
-    }
-
-    #[test]
-    fn parallel_refutation_matches_sequential() {
-        let text = r#"
-            (declare-fun p (Int Int) Bool)
-            (assert (forall ((x Int) (y Int))
-                (=> (and (= x 0) (= y 1)) (p x y))))
-            (assert (forall ((x Int) (y Int) (x1 Int) (y1 Int))
-                (=> (and (p x y) (= x1 (+ x y)) (= y1 (+ y 1))) (p x1 y1))))
-            (assert (forall ((x Int) (y Int))
-                (=> (p x y) (>= x y))))
-        "#;
-        let sys = parse_chc(text).unwrap();
-        let run = |threads: usize| {
-            let mut s =
-                CegarSolver::new(&sys, SolverConfig::default().with_threads(threads));
-            match s.solve(&Budget::unlimited()) {
-                SolveResult::Unsat(tree) => {
-                    assert!(tree.replay(&sys), "derivation must replay");
-                    (tree.size(), tree.depth(), s.stats().iterations)
-                }
-                other => panic!("expected unsat at {threads} threads, got {other:?}"),
-            }
-        };
-        assert_eq!(run(1), run(4), "derivation trees must match across thread counts");
-    }
-
-    #[test]
-    fn contexts_and_prechecks_are_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<ClauseContext>();
-        assert_send::<Precheck>();
-    }
-
-    #[test]
-    fn threads_env_parsing() {
-        // Builder clamps zero; env parsing is covered indirectly (the
-        // env var is process-global, so tests don't mutate it).
-        let cfg = SolverConfig::default().with_threads(0);
-        assert_eq!(cfg.threads, 1);
-        let cfg = SolverConfig::default().with_threads(6);
-        assert_eq!(cfg.threads, 6);
-        assert!(format!("{cfg:?}").contains("threads: 6"));
     }
 }
 

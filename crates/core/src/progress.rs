@@ -2,7 +2,7 @@
 //!
 //! [`CegarSolver`](crate::CegarSolver) emits one [`ProgressSnapshot`]
 //! per CEGAR round (at the round barrier, before the frontier is
-//! pre-checked) through whatever [`ProgressReporter`] the caller put
+//! checked) through whatever [`ProgressReporter`] the caller put
 //! in [`SolverConfig::progress`](crate::SolverConfig). This is the
 //! introspection surface a portfolio canceller or the future serve
 //! daemon polls: is the frontier shrinking, are the sample stores
@@ -12,8 +12,7 @@
 //!
 //! * **trajectory fields** (round, frontier, samples, seeds, learned
 //!   DB…) — functions of the refinement trajectory, therefore
-//!   identical at every thread count under the bit-identical replay
-//!   guarantee;
+//!   identical from run to run;
 //! * **timing fields** (cumulative per-phase micros, budget remaining)
 //!   — wall-clock readings, excluded from determinism comparisons
 //!   ([`ProgressSnapshot::TIMING_FIELDS`]).
@@ -45,12 +44,9 @@ pub struct ProgressSnapshot {
     /// Seed planes ever added to the seed store.
     pub seeds_added: usize,
     /// Sum of per-predicate seed-store versions (bumps on every
-    /// addition/prune — a cheap staleness cursor).
+    /// addition — a cheap staleness cursor).
     pub seed_version_sum: u64,
-    /// Seed planes retired by unsat-core pruning.
-    pub seeds_pruned: usize,
-    /// Cumulative oracle-phase micros so far (pre-checks + live
-    /// checks). Timing field.
+    /// Cumulative oracle-phase micros so far. Timing field.
     pub oracle_us: u64,
     /// Cumulative resolve-phase micros so far (sample extraction +
     /// learning + interpretation updates). Timing field.
@@ -59,15 +55,13 @@ pub struct ProgressSnapshot {
     /// Timing field.
     pub time_left_ms: Option<u64>,
     /// Conflicts left in the shared conflict pool, if one is set.
-    /// Timing field (discarded speculation also drains the pool, so
-    /// this varies with thread count).
+    /// Timing field (portfolio siblings drain the same pool).
     pub conflicts_left: Option<u64>,
 }
 
 impl ProgressSnapshot {
     /// JSON keys of the wall-clock-dependent fields — everything else
-    /// is a pure function of the (thread-count-invariant) refinement
-    /// trajectory. Determinism comparisons drop exactly these.
+    /// is a pure function of the refinement trajectory. Determinism comparisons drop exactly these.
     pub const TIMING_FIELDS: [&'static str; 4] =
         ["oracle_us", "resolve_us", "time_left_ms", "conflicts_left"];
 
@@ -79,7 +73,7 @@ impl ProgressSnapshot {
             "{{\"kind\":\"progress\",\"round\":{},\"iterations\":{},\"frontier\":{},\
              \"samples\":{},\"positive_samples\":{},\"interp_preds\":{},\
              \"learned_db_size\":{},\"seeds_added\":{},\"seed_version_sum\":{},\
-             \"seeds_pruned\":{},\"oracle_us\":{},\"resolve_us\":{}",
+             \"oracle_us\":{},\"resolve_us\":{}",
             self.round,
             self.iterations,
             self.frontier,
@@ -89,7 +83,6 @@ impl ProgressSnapshot {
             self.learned_db_size,
             self.seeds_added,
             self.seed_version_sum,
-            self.seeds_pruned,
             self.oracle_us,
             self.resolve_us,
         );
@@ -113,14 +106,13 @@ impl ProgressSnapshot {
     pub fn ticker_line(&self) -> String {
         let mut s = format!(
             "[cegar] round {:>3}  iter {:>5}  frontier {:>3}  samples {} (+{})  \
-             learned_db {}  seeds {}/{}  oracle {:.2}s  resolve {:.2}s",
+             learned_db {}  seeds {}  oracle {:.2}s  resolve {:.2}s",
             self.round,
             self.iterations,
             self.frontier,
             self.samples,
             self.positive_samples,
             self.learned_db_size,
-            self.seeds_added - self.seeds_pruned,
             self.seeds_added,
             self.oracle_us as f64 / 1e6,
             self.resolve_us as f64 / 1e6,
@@ -225,7 +217,6 @@ mod tests {
             learned_db_size: 37,
             seeds_added: 12,
             seed_version_sum: 14,
-            seeds_pruned: 1,
             oracle_us: 1_500_000,
             resolve_us: 250_000,
             time_left_ms: Some(28_500),

@@ -16,8 +16,7 @@
 
 use crate::dataset::{Dataset, Sample};
 use crate::linear::{
-    linear_classify_warm, refit_intercept, refit_intercept_scored, ClassifierKind, Hyperplane,
-    SvmParams,
+    linear_classify, refit_intercept, refit_intercept_scored, ClassifierKind, Hyperplane, SvmParams,
 };
 use crate::seed::SeedPlane;
 use linarb_arith::BigInt;
@@ -69,19 +68,6 @@ pub struct LearnConfig {
     pub mod_features: Vec<u64>,
     /// RNG seed, for reproducible runs.
     pub seed: u64,
-    /// Symbolic seeds: let the `LinearArbitrary` recursion use a
-    /// perfectly-scoring seed plane *directly* in place of a
-    /// classifier run. Ignored when no seeds are supplied.
-    pub seed_direct: bool,
-    /// Symbolic seeds: warm-start the SVM from the best-scoring seed
-    /// direction when none qualifies for direct use. Off by default:
-    /// empirically the warm-started walk converges to sample-hugging
-    /// planes whose rationalizations derail the CEGAR trajectory
-    /// (`jm2006` stops converging with this on).
-    pub seed_warm: bool,
-    /// Symbolic seeds: offer seed directions to the decision tree as
-    /// extra feature attributes.
-    pub seed_dt_features: bool,
 }
 
 impl Default for LearnConfig {
@@ -92,9 +78,6 @@ impl Default for LearnConfig {
             use_decision_tree: true,
             mod_features: vec![2],
             seed: 0x11AB,
-            seed_direct: true,
-            seed_warm: false,
-            seed_dt_features: true,
         }
     }
 }
@@ -153,9 +136,8 @@ pub fn linear_arbitrary(
 /// intercept refit first. A seed that separates the level's samples
 /// perfectly — or captures every positive while excluding at least one
 /// negative (guaranteed conjunctive progress, the shape of
-/// equality-style invariants) — replaces the classifier run outright;
-/// otherwise the best-scoring seed warm-starts the SVM. Indices of
-/// directly-used seeds are appended to `hits`.
+/// equality-style invariants) — replaces the classifier run outright.
+/// Indices of directly-used seeds are appended to `hits`.
 pub fn linear_arbitrary_seeded(
     data: &Dataset,
     params: &[Var],
@@ -222,29 +204,16 @@ fn la_rec(
         return Err(LearnError::DepthExceeded);
     }
 
-    let mut warm: Option<&[BigInt]> = None;
     let mut hp: Option<Hyperplane> = None;
-    if !seeds.is_empty() && (config.seed_direct || config.seed_warm) {
-        if let Some((i, h, errors, pos_errors)) = best_seed(seeds, pos, neg) {
-            if config.seed_direct && (errors == 0 || (pos_errors == 0 && errors < neg.len())) {
-                hits.push(i);
-                hp = Some(h);
-            } else if config.seed_warm {
-                warm = Some(seeds[i].dir());
-            }
+    if let Some((i, h, errors, pos_errors)) = best_seed(seeds, pos, neg) {
+        if errors == 0 || (pos_errors == 0 && errors < neg.len()) {
+            hits.push(i);
+            hp = Some(h);
         }
     }
-    let mut hp = match hp {
-        Some(h) => Some(h),
-        None => linear_classify_warm(
-            config.classifier,
-            &config.svm,
-            pos,
-            neg,
-            config.seed ^ fuel as u64,
-            warm,
-        ),
-    };
+    if hp.is_none() {
+        hp = linear_classify(config.classifier, &config.svm, pos, neg, config.seed ^ fuel as u64);
+    }
     let mut split = hp.as_ref().map(|h| partition(h, pos, neg));
     // Progress guard: the hyperplane must capture at least one
     // positive, and must not classify everything as positive.

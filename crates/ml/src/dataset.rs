@@ -28,7 +28,6 @@ pub struct Dataset {
     neg: Vec<Sample>,
     pos_set: HashSet<Sample>,
     neg_set: HashSet<Sample>,
-    neg_epoch: u64,
 }
 
 impl Dataset {
@@ -79,16 +78,6 @@ impl Dataset {
     pub fn clear_negatives(&mut self) {
         self.neg.clear();
         self.neg_set.clear();
-        self.neg_epoch += 1;
-    }
-
-    /// Counts how many times [`Dataset::clear_negatives`] has run.
-    /// Within one epoch both classes are append-only, so the triple
-    /// `(num_positive, neg_epoch, num_negative)` uniquely identifies
-    /// the dataset's contents over its lifetime — the basis of the
-    /// core solver's learn memoization.
-    pub fn neg_epoch(&self) -> u64 {
-        self.neg_epoch
     }
 
     /// The positive samples, in insertion order.

@@ -141,14 +141,12 @@ fn learn_inner(
         }
     }
     // …plus the symbolic seed directions the recursion did not emit…
-    if config.seed_dt_features {
-        for s in seeds {
-            if s.dir().len() == params.len() && s.dir().iter().any(|c| !c.is_zero()) {
-                let f = Feature::Linear(s.dir().to_vec());
-                if !features.contains(&f) {
-                    features.push(f);
-                    stats.seeded_features += 1;
-                }
+    for s in seeds {
+        if s.dir().len() == params.len() && s.dir().iter().any(|c| !c.is_zero()) {
+            let f = Feature::Linear(s.dir().to_vec());
+            if !features.contains(&f) {
+                features.push(f);
+                stats.seeded_features += 1;
             }
         }
     }

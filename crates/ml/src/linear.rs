@@ -85,25 +85,10 @@ pub fn linear_classify(
     neg: &[Sample],
     seed: u64,
 ) -> Option<Hyperplane> {
-    linear_classify_warm(kind, params, pos, neg, seed, None)
-}
-
-/// [`linear_classify`] with an optional warm-start direction for the
-/// SVM (ignored by the perceptron): the subgradient walk starts from
-/// the given integer direction instead of zero, so a near-separating
-/// symbolic seed converges in a fraction of the iterations.
-pub(crate) fn linear_classify_warm(
-    kind: ClassifierKind,
-    params: &SvmParams,
-    pos: &[Sample],
-    neg: &[Sample],
-    seed: u64,
-    warm: Option<&[BigInt]>,
-) -> Option<Hyperplane> {
     if pos.is_empty() || neg.is_empty() {
         return None;
     }
-    let primary = raw_direction_warm(kind, params, pos, neg, seed, warm)
+    let primary = raw_direction(kind, params, pos, neg, seed)
         .and_then(|dir| refit_intercept(&dir, pos, neg));
     if primary.is_some() {
         return primary;
@@ -139,20 +124,9 @@ fn raw_direction(
     neg: &[Sample],
     seed: u64,
 ) -> Option<Vec<BigInt>> {
-    raw_direction_warm(kind, params, pos, neg, seed, None)
-}
-
-fn raw_direction_warm(
-    kind: ClassifierKind,
-    params: &SvmParams,
-    pos: &[Sample],
-    neg: &[Sample],
-    seed: u64,
-    warm: Option<&[BigInt]>,
-) -> Option<Vec<BigInt>> {
     let dir = match kind {
         ClassifierKind::Perceptron => perceptron_direction(pos, neg),
-        ClassifierKind::Svm => svm_direction(params, pos, neg, seed, warm),
+        ClassifierKind::Svm => svm_direction(params, pos, neg, seed),
     };
     let dir = normalize_gcd(dir);
     if dir.iter().all(BigInt::is_zero) {
@@ -212,23 +186,10 @@ fn perceptron_direction(pos: &[Sample], neg: &[Sample]) -> Vec<BigInt> {
 }
 
 /// Pegasos-style soft-margin SVM in `f64`; returns a rationalized
-/// integer direction.
-///
-/// With `warm`, the walk starts from the given direction (scaled onto
-/// the Pegasos ball) at a later step index, so the initial learning
-/// rate does not erase it, and the iteration count becomes adaptive:
-/// at exponentially-spaced probe points the running averaged direction
-/// is tested against the data, and the walk stops as soon as it
-/// reaches zero hinge loss — a near-separating seed finishes in a few
-/// hundred iterations instead of the full budget. Cold (unseeded)
-/// walks always run the full budget.
-fn svm_direction(
-    params: &SvmParams,
-    pos: &[Sample],
-    neg: &[Sample],
-    seed: u64,
-    warm: Option<&[BigInt]>,
-) -> Vec<BigInt> {
+/// integer direction. The walk always runs the full iteration budget:
+/// early averaged iterates hug the samples, and their rationalizations
+/// send CEGAR down trajectories that stop converging (`jm2006`).
+fn svm_direction(params: &SvmParams, pos: &[Sample], neg: &[Sample], seed: u64) -> Vec<BigInt> {
     use linarb_trace::Level;
     let mut span = linarb_trace::span(Level::Trace, "ml", "ml.svm");
     let dim = pos.first().or_else(|| neg.first()).map_or(0, Vec::len);
@@ -237,39 +198,13 @@ fn svm_direction(
     let mut w = vec![0.0f64; dim];
     let mut b = 0.0f64;
     let mut avg_w = vec![0.0f64; dim];
-    let mut avg_b = 0.0f64;
     let mut rng = XorShiftRng::seed_from_u64(seed);
     let data: Vec<(f64, Vec<f64>)> = pos
         .iter()
         .map(|s| (1.0, s.iter().map(BigInt::to_f64).collect()))
         .chain(neg.iter().map(|s| (-1.0, s.iter().map(BigInt::to_f64).collect())))
         .collect();
-    // Warm start: η·λ = 1 at t = 1 would zero any initial weights, so
-    // a warm-started walk begins at a later step index.
-    let t0 = match warm {
-        Some(init) => {
-            let raw: Vec<f64> = init.iter().map(BigInt::to_f64).collect();
-            let norm = dot(&raw, &raw).sqrt();
-            if norm > 1e-12 {
-                let scale = 1.0 / (norm * lambda.sqrt());
-                for (wi, xi) in w.iter_mut().zip(raw.iter()) {
-                    *wi = xi * scale;
-                }
-            }
-            (params.iters / 8).max(2)
-        }
-        None => 1,
-    };
-    let mut done = 0usize;
-    // Adaptive iteration count applies to warm-started walks only:
-    // there the seed anchors the direction, so stopping at zero hinge
-    // loss is principled. A cold walk always runs the full budget —
-    // early averaged iterates hug the samples, and their
-    // rationalizations send CEGAR down trajectories that stop
-    // converging (`jm2006` with an early-exiting cold walk).
-    let mut next_probe =
-        if warm.is_some() { 256usize.min(params.iters) } else { usize::MAX };
-    for t in t0..t0 + params.iters {
+    for t in 1..=params.iters {
         let (y, x) = &data[rng.gen_range(0..n)];
         let eta = 1.0 / (lambda * t as f64);
         let margin = y * (dot(&w, x) + b);
@@ -285,31 +220,13 @@ fn svm_direction(
         for (a, wi) in avg_w.iter_mut().zip(w.iter()) {
             *a += wi;
         }
-        avg_b += b;
-        done += 1;
-        if done == next_probe && done < params.iters {
-            // Early exit only once the averaged iterate drives hinge
-            // loss to zero (functional margin ≥ 1 on every sample) —
-            // bare separation (> 0) stops on sample-hugging planes
-            // whose rationalizations derail the CEGAR trajectory.
-            let s = 1.0 / done as f64;
-            let converged = data
-                .iter()
-                .all(|(y, x)| y * (dot(&avg_w, x) + avg_b) * s >= 1.0);
-            if converged {
-                break;
-            }
-            next_probe = (next_probe * 2).min(params.iters);
-        }
     }
-    let scale = 1.0 / done.max(1) as f64;
+    let scale = 1.0 / params.iters.max(1) as f64;
     for a in avg_w.iter_mut() {
         *a *= scale;
     }
-    let _ = avg_b;
     if span.active() {
-        span.record("iters", done);
-        span.record("warm", warm.is_some());
+        span.record("iters", params.iters);
     }
     let _rs = linarb_trace::span(Level::Trace, "ml", "ml.rationalize");
     rationalize(&avg_w)

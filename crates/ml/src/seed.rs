@@ -5,10 +5,8 @@
 //! extra decision-tree features.
 //!
 //! The store is deterministic by construction: insertion order is the
-//! harvest order, directions are gcd-normalized with a canonical sign
-//! (orientation is irrelevant — the intercept refit tries both), and
-//! pruning is driven by counters, never by wall-clock. This keeps the
-//! solver's any-thread-count bit-identical trajectory guarantee intact.
+//! harvest order, and directions are gcd-normalized with a canonical
+//! sign (orientation is irrelevant — the intercept refit tries both).
 
 use linarb_arith::BigInt;
 use linarb_logic::{Atom, PredId, Var};
@@ -21,17 +19,12 @@ const MAX_PLANES: usize = 64;
 const COMBO_BASE: usize = 12;
 /// Pairwise combination stops once a predicate holds this many planes.
 const COMBO_CAP: usize = 48;
-/// A plane seen in this many validity checks without ever appearing in
-/// an unsat core is retired (see [`SeedStore::prune_dead`]).
-const PRUNE_CORE_SEEN: u64 = 12;
 
 /// One candidate separating direction, with its usage counters.
 #[derive(Clone, Debug)]
 pub struct SeedPlane {
     dir: Vec<BigInt>,
     hits: u64,
-    core_seen: u64,
-    core_useful: u64,
 }
 
 impl SeedPlane {
@@ -70,8 +63,8 @@ fn canonical(mut dir: Vec<BigInt>) -> Option<Vec<BigInt>> {
 #[derive(Clone, Debug, Default)]
 struct PredSeeds {
     planes: Vec<SeedPlane>,
-    /// Bumped on every plane addition/removal; part of the core
-    /// solver's learn-memo key.
+    /// Bumped on every plane addition; summed into the solver's
+    /// progress snapshots.
     version: u64,
 }
 
@@ -81,7 +74,6 @@ pub struct SeedStore {
     by_pred: HashMap<PredId, PredSeeds>,
     total_added: usize,
     total_hits: u64,
-    total_pruned: usize,
 }
 
 impl SeedStore {
@@ -115,7 +107,7 @@ impl SeedStore {
         {
             return false;
         }
-        entry.planes.push(SeedPlane { dir, hits: 0, core_seen: 0, core_useful: 0 });
+        entry.planes.push(SeedPlane { dir, hits: 0 });
         entry.version += 1;
         self.total_added += 1;
         true
@@ -191,7 +183,7 @@ impl SeedStore {
         self.by_pred.get(&pred).map_or(&[], |e| e.planes.as_slice())
     }
 
-    /// The store version for `pred` (bumped on every add/remove).
+    /// The store version for `pred` (bumped on every addition).
     pub fn version(&self, pred: PredId) -> u64 {
         self.by_pred.get(&pred).map_or(0, |e| e.version)
     }
@@ -204,44 +196,6 @@ impl SeedStore {
                 self.total_hits += 1;
             }
         }
-    }
-
-    /// Records an unsat-core observation for a direction of `pred`'s
-    /// interpretation: the atom participated in a validity check
-    /// (`useful` iff its guard literal appeared in the oracle's
-    /// assumption core). Directions that are not stored planes are
-    /// ignored.
-    pub fn note_core(&mut self, pred: PredId, dir: &[BigInt], useful: bool) {
-        let Some(dir) = canonical(dir.to_vec()) else {
-            return;
-        };
-        if let Some(e) = self.by_pred.get_mut(&pred) {
-            if let Some(p) = e.planes.iter_mut().find(|p| p.dir == dir) {
-                p.core_seen += 1;
-                if useful {
-                    p.core_useful += 1;
-                }
-            }
-        }
-    }
-
-    /// Retires planes that repeatedly reached the oracle without ever
-    /// being core-relevant (`core_seen ≥` [`PRUNE_CORE_SEEN`] with zero
-    /// `core_useful`). Returns the number of planes removed.
-    pub fn prune_dead(&mut self) -> usize {
-        let mut removed = 0;
-        for e in self.by_pred.values_mut() {
-            let before = e.planes.len();
-            e.planes
-                .retain(|p| p.core_useful > 0 || p.core_seen < PRUNE_CORE_SEEN);
-            let gone = before - e.planes.len();
-            if gone > 0 {
-                e.version += 1;
-                removed += gone;
-            }
-        }
-        self.total_pruned += removed;
-        removed
     }
 
     /// Planes currently stored across all predicates.
@@ -257,11 +211,6 @@ impl SeedStore {
     /// Direct learner uses across all planes.
     pub fn total_hits(&self) -> u64 {
         self.total_hits
-    }
-
-    /// Planes retired by [`SeedStore::prune_dead`].
-    pub fn total_pruned(&self) -> usize {
-        self.total_pruned
     }
 }
 
@@ -332,24 +281,5 @@ mod tests {
         assert_eq!(s.total_hits(), 1);
         assert_eq!(s.planes(pid(0))[0].hits(), 1);
         assert_eq!(s.version(pid(0)), v, "hits do not bump the version");
-    }
-
-    #[test]
-    fn core_pruning_retires_dead_planes() {
-        let mut s = SeedStore::new();
-        s.add_dir(pid(0), vec![int(1), int(0)]);
-        s.add_dir(pid(0), vec![int(0), int(1)]);
-        let v = s.version(pid(0));
-        for _ in 0..PRUNE_CORE_SEEN {
-            s.note_core(pid(0), &[int(2), int(0)], false); // matches plane 0 (scaled)
-            s.note_core(pid(0), &[int(0), int(-3)], true); // matches plane 1 (sign-flipped)
-        }
-        assert_eq!(s.prune_dead(), 1);
-        assert_eq!(s.planes(pid(0)).len(), 1);
-        assert_eq!(s.planes(pid(0))[0].dir(), &[int(0), int(1)]);
-        assert!(s.version(pid(0)) > v);
-        assert_eq!(s.total_pruned(), 1);
-        // second prune is a no-op
-        assert_eq!(s.prune_dead(), 0);
     }
 }

@@ -281,8 +281,7 @@ pub trait TheoryHook {
 ///
 /// Cloning yields an independent solver with identical state (clause
 /// database, learned clauses, activities, saved phases): the clone and
-/// the original answer future queries identically. Parallel clause
-/// checking uses this for speculative checks that may be discarded.
+/// the original answer future queries identically.
 ///
 /// See the [crate documentation](crate) for an example.
 #[derive(Clone)]
@@ -724,7 +723,7 @@ impl SatSolver {
     /// and clauses locked as the reason of a current assignment all
     /// survive. The ranking and the trigger depend only on
     /// deterministic solver state, so reduction points replay
-    /// identically on cloned solvers and at any thread count.
+    /// identically on cloned solvers and across runs.
     fn reduce_db(&mut self) {
         debug_assert!(self.trail_lim.is_empty(), "reduce_db needs decision level 0");
         debug_assert_eq!(self.qhead, self.trail.len(), "reduce_db needs full propagation");
@@ -792,21 +791,6 @@ impl SatSolver {
     /// Solves the current clause set.
     pub fn solve(&mut self) -> SatResult {
         self.solve_under_assumptions(&[])
-    }
-
-    /// Resets the branching heuristics — activities, saved phases, and
-    /// the activity increment — to their initial values, as if the
-    /// solver had just been built. Clauses (including learned ones)
-    /// and watcher state are untouched. Incremental callers use this
-    /// to make model *selection* independent of earlier queries:
-    /// without it, phase saving replays fragments of previous models,
-    /// which matters when the caller samples models rather than just
-    /// testing satisfiability.
-    pub fn reset_decision_state(&mut self) {
-        self.activity.iter_mut().for_each(|a| *a = 0.0);
-        self.phase.iter_mut().for_each(|p| *p = false);
-        self.var_inc = 1.0;
-        self.order.rebuild(&self.activity);
     }
 
     /// Solves the current clause set under the given assumption
@@ -1762,7 +1746,6 @@ mod tests {
                     85..=89 => {
                         s.new_var();
                     }
-                    90..=92 => s.reset_decision_state(),
                     // force the 1e-100 rescale; repeated rescales
                     // underflow small activities to equal values
                     _ => {

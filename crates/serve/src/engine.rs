@@ -7,9 +7,9 @@
 //! order, so cache contents are a deterministic function of the
 //! submission sequence (never of worker timing).
 //!
-//! Worker solvers run single-threaded (`with_threads(1)`) — the
-//! parallelism budget is spent across jobs, not inside one solve, and
-//! it keeps per-job trajectories identical at every pool width.
+//! The parallelism budget is spent across jobs: each solve is the
+//! sequential CEGAR loop, so per-job trajectories are identical at
+//! every pool width.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -506,7 +506,6 @@ impl ServeCore {
                 // measured through the daemon (DESIGN.md §8).
                 let mut config = SolverConfig::default()
                     .with_oracle(OracleMode::Fresh)
-                    .with_threads(1)
                     .with_seed_atoms(seed_atoms);
                 if let Some(ws) = warm {
                     config = config.with_warm_start(ws);

@@ -78,15 +78,6 @@ pub struct IncrementalSolver {
     /// and (worse) grows blocking clauses over irrelevant literals.
     guard_atoms: HashMap<Lit, Vec<BVar>>,
     checks: u64,
-    /// Activation literals of the last `Unsat` answer's assumption
-    /// core (see [`last_unsat_core`](Self::last_unsat_core)).
-    last_core: Vec<Lit>,
-    /// Whether [`check`](Self::check) resets the CDCL branching state
-    /// (VSIDS activities, saved phases) before searching. Off by
-    /// default: carried-over decision state is what lets hard checks
-    /// profit from earlier ones. See [`set_decision_reset`](Self::set_decision_reset)
-    /// for when resetting wins instead.
-    reset_decisions: bool,
 }
 
 impl Default for IncrementalSolver {
@@ -106,8 +97,6 @@ impl IncrementalSolver {
             permanent_atoms: HashSet::new(),
             guard_atoms: HashMap::new(),
             checks: 0,
-            last_core: Vec::new(),
-            reset_decisions: false,
         }
     }
 
@@ -116,22 +105,6 @@ impl IncrementalSolver {
     /// differential tests.
     pub fn set_online(&mut self, online: bool) {
         self.online = online;
-    }
-
-    /// Chooses whether each [`check`](Self::check) starts from a fresh
-    /// branching state (activities and saved phases cleared; learned
-    /// clauses always persist either way).
-    ///
-    /// This is a *model-selection* policy, not a correctness one: both
-    /// settings are sound, but they walk different model sequences,
-    /// which matters to callers that sample models (the CEGAR loop's
-    /// refinement trajectory follows the countermodels it is fed).
-    /// Keeping state preserves the diversity that accumulated phases
-    /// provide; resetting makes every check branch like a fresh solver.
-    /// Empirically neither dominates — see the oracle notes in the
-    /// repository's DESIGN.md.
-    pub fn set_decision_reset(&mut self, reset: bool) {
-        self.reset_decisions = reset;
     }
 
     fn prepare(&mut self, f: &Formula) -> Formula {
@@ -206,16 +179,6 @@ impl IncrementalSolver {
         // DPLL(T) round count for this one check.
         metrics::histogram("smt.check_pivots", self.num_simplex_pivots() - pivots0);
         metrics::histogram("smt.check_rounds", rounds);
-        // Record which *caller-visible* activation literals the final
-        // conflict used (internal call literals are filtered out). An
-        // empty core on Unsat means the permanent assertions alone are
-        // inconsistent with the clause set.
-        self.last_core.clear();
-        if result.is_unsat() {
-            self.last_core.extend(
-                self.enc.sat.assumption_core().iter().filter(|l| active.contains(l)),
-            );
-        }
         metrics::counter("smt.inc_checks", 1);
         if span.active() {
             span.record("active", active.len());
@@ -228,9 +191,6 @@ impl IncrementalSolver {
 
     fn check_inner(&mut self, active: &[Lit], budget: &Budget, rounds: &mut u64) -> SmtResult {
         self.checks += 1;
-        if self.reset_decisions {
-            self.enc.sat.reset_decision_state();
-        }
         // Atoms this check's formulas actually mention; atoms occurring
         // only in retracted guarded formulas are invisible to the
         // theory (their SAT polarities are unconstrained noise).
@@ -430,16 +390,6 @@ impl IncrementalSolver {
         }
     }
 
-    /// After an `Unsat` answer from [`check`](Self::check): the subset
-    /// of that check's `active` literals whose guarded formulas the
-    /// final conflict actually depended on. Guards absent from the
-    /// core were irrelevant to the refutation — the CEGAR loop uses
-    /// this to spot candidate atoms that never pull their weight.
-    /// Cleared by any non-`Unsat` check.
-    pub fn last_unsat_core(&self) -> &[Lit] {
-        &self.last_core
-    }
-
     /// Total clauses the persistent CDCL core has learned over the
     /// context's lifetime.
     pub fn learned_clauses(&self) -> u64 {
@@ -636,24 +586,9 @@ mod tests {
     }
 
     #[test]
-    fn unsat_core_names_only_relevant_guards() {
-        let mut s = IncrementalSolver::new();
-        s.assert_permanent(&Formula::from(Atom::ge(x(), c(3))));
-        let g_low = s.push_guarded(&Formula::from(Atom::le(x(), c(1))));
-        let g_free = s.push_guarded(&Formula::from(Atom::le(y(), c(10))));
-        assert!(s.check(&[g_low, g_free], &b()).is_unsat());
-        let core = s.last_unsat_core().to_vec();
-        assert!(core.contains(&g_low), "core {core:?} must contain the contradiction");
-        assert!(!core.contains(&g_free), "irrelevant guard in core {core:?}");
-        // a sat check clears the core
-        assert!(s.check(&[g_free], &b()).is_sat());
-        assert!(s.last_unsat_core().is_empty());
-    }
-
-    #[test]
     fn incremental_solver_is_send() {
-        // Parallel clause checking moves whole contexts to worker
-        // threads; the solver (and everything it owns) must be Send.
+        // Portfolio and serve workers run whole solves (contexts
+        // included) on pool threads; the solver must be Send.
         fn assert_send<T: Send>() {}
         assert_send::<IncrementalSolver>();
     }

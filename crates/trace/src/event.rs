@@ -140,11 +140,6 @@ pub struct Event {
     pub name: &'static str,
     /// Span duration in microseconds (span-end events only).
     pub dur_us: Option<u64>,
-    /// Pool worker that produced the event, when it was captured
-    /// inside a parallel region and replayed on the merge thread.
-    /// Like `t_us`, excluded from [`Event::deterministic_key`]: which
-    /// worker ran a check is scheduling noise, not solver behaviour.
-    pub thread: Option<u64>,
     /// Structured payload, in emission order.
     pub fields: Vec<(&'static str, Value)>,
 }
@@ -166,10 +161,6 @@ impl Event {
         if let Some(d) = self.dur_us {
             out.push_str(",\"dur_us\":");
             out.push_str(&d.to_string());
-        }
-        if let Some(t) = self.thread {
-            out.push_str(",\"thread\":");
-            out.push_str(&t.to_string());
         }
         if !self.fields.is_empty() {
             out.push_str(",\"fields\":{");
@@ -230,7 +221,6 @@ mod tests {
             target: "core",
             name: "cegar.check",
             dur_us: Some(7),
-            thread: None,
             fields: vec![("clause", Value::UInt(3)), ("verdict", Value::from("sat"))],
         };
         let j = e.to_json();
@@ -240,10 +230,6 @@ mod tests {
              \"dur_us\":7,\"fields\":{\"clause\":3,\"verdict\":\"sat\"}}"
         );
         assert!(crate::json::parse(&j).is_ok());
-        let mut tagged = e.clone();
-        tagged.thread = Some(2);
-        assert!(tagged.to_json().contains("\"thread\":2"));
-        assert_eq!(tagged.deterministic_key(), e.deterministic_key());
     }
 
     #[test]
@@ -260,7 +246,6 @@ mod tests {
             target: "smt",
             name: "x",
             dur_us: None,
-            thread: None,
             fields: vec![("n", Value::Int(-4))],
         };
         assert_eq!(mk(1).deterministic_key(), mk(999).deterministic_key());

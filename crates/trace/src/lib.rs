@@ -224,41 +224,6 @@ pub fn now_us() -> u64 {
     clock_origin().elapsed().as_micros() as u64
 }
 
-/// The level the current thread's events are filtered at: the local
-/// sink's level when one is installed, the global level otherwise.
-/// Parallel regions read this before fanning out so each worker can
-/// capture at exactly the verbosity the merge thread will replay.
-pub fn effective_level() -> Level {
-    let local = LOCAL_SINK.with(|l| l.borrow().as_ref().map(|(_, lvl)| *lvl));
-    local.unwrap_or(match GLOBAL_LEVEL.load(Ordering::Relaxed) {
-        0 => Level::Off,
-        1 => Level::Info,
-        2 => Level::Debug,
-        _ => Level::Trace,
-    })
-}
-
-/// Forwards an already-captured event to the current thread's active
-/// sink (thread-local if installed, global otherwise) without level
-/// filtering — the event was filtered when it was captured. Used to
-/// merge per-worker event buffers back into the main trace stream in
-/// a deterministic order.
-pub fn replay(e: &Event) {
-    let handled = LOCAL_SINK.with(|l| {
-        if let Some((sink, _)) = l.borrow_mut().as_mut() {
-            sink.event(e);
-            true
-        } else {
-            false
-        }
-    });
-    if !handled && GLOBAL_LEVEL.load(Ordering::Relaxed) > 0 {
-        if let Some(sink) = GLOBAL_SINK.lock().unwrap().as_mut() {
-            sink.event(e);
-        }
-    }
-}
-
 fn dispatch(level: Level, e: &Event) {
     let handled = LOCAL_SINK.with(|l| {
         if let Some((sink, lvl)) = l.borrow_mut().as_mut() {
@@ -295,7 +260,6 @@ pub fn emit(level: Level, target: &'static str, name: &'static str, fields: Vec<
         target,
         name,
         dur_us: None,
-        thread: None,
         fields,
     };
     dispatch(level, &e);
@@ -357,8 +321,7 @@ pub fn span(level: Level, target: &'static str, name: &'static str) -> SpanGuard
             target,
             name,
             dur_us: None,
-            thread: None,
-            fields: Vec::new(),
+                fields: Vec::new(),
         };
         dispatch(level, &e);
     }
@@ -412,8 +375,7 @@ impl Drop for SpanGuard {
                 target: inner.target,
                 name: inner.name,
                 dur_us: Some(dur.as_micros() as u64),
-                thread: None,
-                fields: inner.fields,
+                        fields: inner.fields,
             };
             dispatch(inner.level, &e);
         }
@@ -529,12 +491,10 @@ mod tests {
     fn local_sinks_nest_and_restore() {
         let outer = CollectingSink::new();
         let _og = LocalSinkGuard::install(Box::new(outer.clone()), Level::Debug);
-        assert_eq!(effective_level(), Level::Debug);
         event!(Level::Info, "t", "before");
         {
             let inner = CollectingSink::new();
             let _ig = LocalSinkGuard::install(Box::new(inner.clone()), Level::Trace);
-            assert_eq!(effective_level(), Level::Trace);
             event!(Level::Trace, "t", "inner_only");
             assert_eq!(inner.take().len(), 1);
         }
@@ -542,25 +502,6 @@ mod tests {
         event!(Level::Info, "t", "after");
         let names: Vec<&str> = outer.take().iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["before", "after"]);
-    }
-
-    #[test]
-    fn replay_bypasses_level_filter() {
-        let sink = CollectingSink::new();
-        let _g = LocalSinkGuard::install(Box::new(sink.clone()), Level::Info);
-        let e = Event {
-            t_us: 1,
-            kind: EventKind::Event,
-            target: "t",
-            name: "captured_at_trace",
-            dur_us: None,
-            thread: Some(3),
-            fields: Vec::new(),
-        };
-        replay(&e);
-        let got = sink.take();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].thread, Some(3));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! their own run without cross-talk.
 
 use crate::event::json_string;
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -131,7 +130,7 @@ pub fn counter(name: &'static str, delta: u64) {
     if !metrics_enabled() {
         return;
     }
-    with_collector(|m| *m.counters.entry(Cow::Borrowed(name)).or_insert(0) += delta);
+    with_collector(|m| *m.counters.entry(name).or_insert(0) += delta);
 }
 
 /// Records one observation into the named histogram.
@@ -140,7 +139,7 @@ pub fn histogram(name: &'static str, value: u64) {
     if !metrics_enabled() {
         return;
     }
-    with_collector(|m| m.hists.entry(Cow::Borrowed(name)).or_default().record(value));
+    with_collector(|m| m.hists.entry(name).or_default().record(value));
 }
 
 /// Merges a pre-aggregated batch (count observations with the given
@@ -151,7 +150,7 @@ pub fn histogram_bulk(name: &'static str, count: u64, sum: u64, min: u64, max: u
     if count == 0 || !metrics_enabled() {
         return;
     }
-    with_collector(|m| m.hists.entry(Cow::Borrowed(name)).or_default().merge(count, sum, min, max));
+    with_collector(|m| m.hists.entry(name).or_default().merge(count, sum, min, max));
 }
 
 /// Adds a span duration to the named timer.
@@ -160,54 +159,22 @@ pub fn timer(name: &'static str, dur: Duration) {
     if !metrics_enabled() {
         return;
     }
-    with_collector(|m| m.timers.entry(Cow::Borrowed(name)).or_default().record(dur));
+    with_collector(|m| m.timers.entry(name).or_default().record(dur));
 }
 
-/// Merges an already-aggregated report into the current thread's
-/// active collector (thread-local scope if installed, the global
-/// registry otherwise). This is how per-worker metrics collected
-/// inside a parallel region are folded back into the run's report —
-/// call it on the merge thread, in a deterministic order.
-pub fn absorb_current(report: &MetricsReport) {
-    if !metrics_enabled() {
-        return;
-    }
-    with_collector(|m| {
-        for (k, v) in &report.counters {
-            *m.counters.entry(Cow::Owned(k.clone())).or_insert(0) += v;
-        }
-        for (k, h) in &report.hists {
-            if h.count > 0 {
-                m.hists
-                    .entry(Cow::Owned(k.clone()))
-                    .or_default()
-                    .merge(h.count, h.sum, h.min, h.max);
-            }
-        }
-        for (k, t) in &report.timers {
-            let e = m.timers.entry(Cow::Owned(k.clone())).or_default();
-            e.count += t.count;
-            e.total_us += t.total_us;
-        }
-    });
-}
-
-// Keys are `Cow` so the hot recording paths keep using borrowed
-// `&'static str` names while absorbed worker reports (whose keys are
-// owned strings) merge without interning.
 #[derive(Clone, Debug, Default)]
 struct MetricsInner {
-    counters: BTreeMap<Cow<'static, str>, u64>,
-    hists: BTreeMap<Cow<'static, str>, HistAgg>,
-    timers: BTreeMap<Cow<'static, str>, TimerAgg>,
+    counters: BTreeMap<&'static str, u64>,
+    hists: BTreeMap<&'static str, HistAgg>,
+    timers: BTreeMap<&'static str, TimerAgg>,
 }
 
 impl MetricsInner {
     fn into_report(self) -> MetricsReport {
         MetricsReport {
-            counters: self.counters.into_iter().map(|(k, v)| (k.into_owned(), v)).collect(),
-            hists: self.hists.into_iter().map(|(k, v)| (k.into_owned(), v)).collect(),
-            timers: self.timers.into_iter().map(|(k, v)| (k.into_owned(), v)).collect(),
+            counters: self.counters.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+            hists: self.hists.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+            timers: self.timers.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
         }
     }
 }
@@ -431,26 +398,6 @@ mod tests {
         }
         counter("nest.c", 2);
         assert_eq!(outer.take_report().counter("nest.c"), 3);
-    }
-
-    #[test]
-    fn absorb_current_merges_into_active_scope() {
-        let scope = MetricsScope::new();
-        counter("abs.c", 1);
-        timer("abs.t", Duration::from_micros(5));
-        let mut worker = MetricsReport::default();
-        worker.set_counter("abs.c", 4);
-        worker.timers.insert("abs.t".to_string(), TimerAgg { count: 2, total_us: 10 });
-        worker.hists.insert(
-            "abs.h".to_string(),
-            HistAgg { count: 1, sum: 7, min: 7, max: 7 },
-        );
-        absorb_current(&worker);
-        let rep = scope.take_report();
-        assert_eq!(rep.counter("abs.c"), 5);
-        assert_eq!(rep.timers["abs.t"].count, 3);
-        assert_eq!(rep.timers["abs.t"].total_us, 15);
-        assert_eq!(rep.hists["abs.h"].sum, 7);
     }
 
     #[test]

@@ -18,16 +18,8 @@
 //! `Instant` pair, so an enabled profile adds two map operations per
 //! span and nothing else.
 //!
-//! # Parallel merges
-//!
-//! Profiles are strictly per-thread. A parallel region mirrors the
-//! caller's setup on each worker (install a [`ProfileScope`], run the
-//! task, [`ProfileScope::take_tree`]) and ships the tree back to the
-//! merge thread, which grafts it at its *current* tree position with
-//! [`absorb_current`] — exactly where the subtree would have grown had
-//! the task run inline. Merging in a deterministic order therefore
-//! yields the same tree shape and call counts at every thread count;
-//! only the recorded times differ.
+//! Profiles are strictly per-thread; [`ProfileTree::merge`] sums the
+//! trees of separate runs.
 //!
 //! # Exports
 //!
@@ -116,15 +108,6 @@ impl ProfInner {
         }
     }
 
-    fn graft(&mut self, parent: usize, children: &BTreeMap<String, ProfileNode>) {
-        for node in children.values() {
-            let i = self.child_of(parent, &node.name);
-            self.nodes[i].calls += node.calls;
-            self.nodes[i].incl_us += node.incl_us;
-            self.graft(i, &node.children);
-        }
-    }
-
     fn build(&self, i: usize) -> ProfileNode {
         let rec = &self.nodes[i];
         ProfileNode {
@@ -164,21 +147,6 @@ pub(crate) fn pop(dur: Duration) {
     LOCAL.with(|l| {
         if let Some(rc) = l.borrow().as_ref() {
             rc.borrow_mut().pop(dur);
-        }
-    });
-}
-
-/// Grafts an already-aggregated tree (typically a pool worker's
-/// profile) under the current thread's *current* tree position — the
-/// node whose span is innermost-open right now. No-op when this thread
-/// has no profiler. Call on the merge thread, in a deterministic
-/// order, exactly for the work the merge consumed.
-pub fn absorb_current(tree: &ProfileTree) {
-    LOCAL.with(|l| {
-        if let Some(rc) = l.borrow().as_ref() {
-            let mut inner = rc.borrow_mut();
-            let parent = *inner.stack.last().expect("root never pops");
-            inner.graft(parent, &tree.root.children);
         }
     });
 }
@@ -476,30 +444,6 @@ mod tests {
         assert!(t.root.children.contains_key("a"));
         assert!(t.root.children.contains_key("c"));
         assert!(!t.root.children.contains_key("b"));
-    }
-
-    #[test]
-    fn absorb_grafts_at_current_position() {
-        // Build a "worker" tree containing one oracle call.
-        let worker_tree = {
-            let scope = ProfileScope::new();
-            {
-                let _sp = crate::span(Level::Trace, "t", "oracle");
-                let _in = crate::span(Level::Trace, "t", "simplex");
-            }
-            scope.take_tree()
-        };
-        // Merge thread: inside an open "solve" span, absorbing must
-        // place the worker's subtree under "solve".
-        let scope = ProfileScope::new();
-        {
-            let _solve = crate::span(Level::Trace, "t", "solve");
-            absorb_current(&worker_tree);
-        }
-        let tree = scope.take_tree();
-        let solve = &tree.root.children["solve"];
-        assert_eq!(solve.children["oracle"].calls, 1);
-        assert_eq!(solve.children["oracle"].children["simplex"].calls, 1);
     }
 
     #[test]

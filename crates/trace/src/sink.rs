@@ -55,9 +55,6 @@ impl Sink for StderrSink {
         if let Some(d) = e.dur_us {
             line.push_str(&format!(" [{:.3}ms]", d as f64 / 1e3));
         }
-        if let Some(t) = e.thread {
-            line.push_str(&format!(" [w{t}]"));
-        }
         for (k, v) in &e.fields {
             line.push_str(&format!(" {k}={v}"));
         }
@@ -187,7 +184,6 @@ mod tests {
             target: "test",
             name,
             dur_us: None,
-            thread: None,
             fields: vec![("k", Value::Int(1))],
         }
     }

@@ -17,12 +17,6 @@ cargo bench --no-run --offline -p linarb-bench
 echo "== tests (LINARB_THREADS=1) =="
 LINARB_THREADS=1 cargo test -q --offline --workspace
 
-echo "== tests (LINARB_THREADS=4) =="
-# The whole suite must hold verbatim with parallel clause checking on:
-# results are bit-identical at every thread count by design, so any
-# test that passes at 1 thread and fails at 4 is a determinism bug.
-LINARB_THREADS=4 cargo test -q --offline --workspace
-
 echo "== tests (offline oracle path, LINARB_SMT_OFFLINE=1) =="
 # The whole suite must also hold with the SMT engine forced back to
 # the pre-online rebuild-per-model oracle: the two engines are
@@ -39,23 +33,15 @@ LINARB_NO_SEED=1 cargo test -q --offline --workspace
 
 echo "== seeding differential gate =="
 # Seeded vs unseeded runs must agree on verdicts (with both sat
-# interpretations verifying independently), and seeding must preserve
-# the 1-vs-4-thread bit-identical trajectory. Repeated here by name so
+# interpretations verifying independently). Repeated here by name so
 # a filtered CI invocation cannot skip it silently.
 cargo test -q --offline -p linarb-bench --test seeding
-
-echo "== parallel determinism gate =="
-# The differential test comparing threads=1 vs threads=4 in both
-# oracle modes (verdicts, interpretations, stats, trace sequences).
-# Already part of the workspace runs above; repeated here by name so
-# a filtered or partial CI invocation cannot skip it silently.
-cargo test -q --offline -p linarb-bench --test parallel_determinism
 
 echo "== online/offline oracle differential gate =="
 # Online DPLL(T) (warm theory inside the search, LBD clause-DB
 # reduction) vs the offline reference oracle: identical verdicts on
 # randomized formulas, incremental lockstep, pooled-conjunction
-# equivalence, and 1-vs-4-thread determinism with DB reduction on.
+# equivalence, and run-to-run determinism with DB reduction on.
 # Repeated by name for the same cannot-skip-silently reason.
 cargo test -q --offline -p linarb-bench --test online_oracle_differential
 
@@ -126,14 +112,12 @@ wait "$serve_pid"
 trap - EXIT
 rm -f "$serve_log"
 
-echo "== cache-key determinism gate (1 and 4 threads) =="
+echo "== cache-key determinism gate =="
 # The canonicalization property tests (rename/reorder/scale variants
 # of every named suite program share a key; perturbed constants never
-# collide) must hold verbatim at both thread counts — the cache key
-# may not depend on scheduling. Repeated here by name so a filtered CI
-# invocation cannot skip it silently.
-LINARB_THREADS=1 cargo test -q --offline -p linarb-frontend --test canon_props
-LINARB_THREADS=4 cargo test -q --offline -p linarb-frontend --test canon_props
+# collide). Repeated here by name so a filtered CI invocation cannot
+# skip it silently.
+cargo test -q --offline -p linarb-frontend --test canon_props
 
 echo "== benchmark harness (unit tests + quick run of every workload) =="
 # The repository benchmark (benchmark/, its own Cargo package) builds
@@ -147,39 +131,19 @@ benchmark/run.sh --quick
 echo "== trace smoke (structured JSONL trace of one benchmark) =="
 # Solve a benchmark with tracing on, then validate that the emitted
 # trace is non-empty, well-formed JSONL containing spans from every
-# instrumented layer and the final metrics report. Run once per
-# thread count: the deterministic portion of both traces must agree
-# event for event (timestamps and thread ids are the only sanctioned
-# difference, and `--check-jsonl` plus the diff below pin that).
-trace_out_1t="$(mktemp /tmp/linarb_trace_1t.XXXXXX.jsonl)"
-trace_out_4t="$(mktemp /tmp/linarb_trace_4t.XXXXXX.jsonl)"
-LINARB_THREADS=1 cargo run --release --offline -p linarb --bin linarb -- \
-    --trace debug --trace-out "$trace_out_1t" examples/fig1.smt2
-LINARB_THREADS=4 cargo run --release --offline -p linarb --bin linarb -- \
-    --trace debug --trace-out "$trace_out_4t" examples/fig1.smt2
-for trace_out in "$trace_out_1t" "$trace_out_4t"; do
-    cargo run --release --offline -p linarb --bin linarb -- \
-        --check-jsonl "$trace_out"
-    for target in core smt sat ml; do
-        grep -q "\"target\":\"$target\"" "$trace_out" \
-            || { echo "trace smoke: no events from '$target'" >&2; exit 1; }
-    done
-    grep -q '"kind":"metrics_report"' "$trace_out" \
-        || { echo "trace smoke: missing metrics report trailer" >&2; exit 1; }
+# instrumented layer and the final metrics report.
+trace_out="$(mktemp /tmp/linarb_trace.XXXXXX.jsonl)"
+cargo run --release --offline -p linarb --bin linarb -- \
+    --trace debug --trace-out "$trace_out" examples/fig1.smt2
+cargo run --release --offline -p linarb --bin linarb -- \
+    --check-jsonl "$trace_out"
+for target in core smt sat ml; do
+    grep -q "\"target\":\"$target\"" "$trace_out" \
+        || { echo "trace smoke: no events from '$target'" >&2; exit 1; }
 done
-# Strip the wall-clock and thread-id fields and the metrics trailer
-# (which embeds span timings), then require byte equality.
-scrub() {
-    # `thread` is comma-prefixed and only present on replayed worker
-    # events; `t_us`/`dur_us` are always present and comma-suffixed.
-    grep -v '"kind":"metrics_report"' "$1" \
-        | sed -E 's/,"thread":[0-9]+//g; s/"(t_us|dur_us)":[0-9]+,//g'
-}
-if ! diff <(scrub "$trace_out_1t") <(scrub "$trace_out_4t") >/dev/null; then
-    echo "trace smoke: 1-thread and 4-thread traces diverge" >&2
-    exit 1
-fi
-rm -f "$trace_out_1t" "$trace_out_4t"
+grep -q '"kind":"metrics_report"' "$trace_out" \
+    || { echo "trace smoke: missing metrics report trailer" >&2; exit 1; }
+rm -f "$trace_out"
 
 echo "== profiler smoke (hierarchical self-profile of one benchmark) =="
 # Solve with the profiler on: the JSON export must parse (piggybacking

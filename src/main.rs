@@ -35,12 +35,9 @@ options:
                                   certificate checked. Omit the flag
                                   for the classic CEGAR path
   --oracle <incremental|fresh>    SMT oracle mode (default incremental)
-  --oracle-reset                  reset SAT decision heuristics between
-                                  incremental checks
-  --threads <n>                   worker threads for parallel clause
-                                  checking (default 1; env
-                                  LINARB_THREADS). Results are
-                                  bit-identical at every thread count
+  --threads <n>                   portfolio race width (default 1; env
+                                  LINARB_THREADS); needs --engine, since
+                                  the CEGAR loop is sequential
   --no-dt                         disable decision-tree generalization
   --profile                       aggregate the span tree into a
                                   hierarchical self-profile; print a
@@ -77,7 +74,6 @@ struct Cli {
     trace_out: Option<String>,
     stats: bool,
     oracle: OracleMode,
-    oracle_reset: bool,
     threads: Option<usize>,
     no_dt: bool,
     profile: bool,
@@ -97,7 +93,6 @@ fn parse_args() -> Result<Cli, String> {
         trace_out: None,
         stats: false,
         oracle: OracleMode::Incremental,
-        oracle_reset: false,
         threads: None,
         no_dt: false,
         profile: false,
@@ -146,7 +141,6 @@ fn parse_args() -> Result<Cli, String> {
                     other => return Err(format!("bad --oracle mode `{other}`")),
                 };
             }
-            "--oracle-reset" => cli.oracle_reset = true,
             "--threads" => {
                 let n: usize = value("--threads")?
                     .parse()
@@ -191,6 +185,9 @@ fn parse_args() -> Result<Cli, String> {
                 }
             }
         }
+    }
+    if cli.threads.is_some() && cli.engine.is_none() {
+        return Err("--threads sets the portfolio race width and needs --engine".to_string());
     }
     Ok(cli)
 }
@@ -284,12 +281,7 @@ fn main() -> ExitCode {
     if cli.no_dt {
         learn.use_decision_tree = false;
     }
-    let mut config = SolverConfig::with_learn_config(learn)
-        .with_oracle(cli.oracle)
-        .with_oracle_reset(cli.oracle_reset);
-    if let Some(n) = cli.threads {
-        config = config.with_threads(n);
-    }
+    let mut config = SolverConfig::with_learn_config(learn).with_oracle(cli.oracle);
     if let Some(n) = cli.max_iterations {
         config.max_iterations = n;
     }
@@ -313,8 +305,8 @@ fn main() -> ExitCode {
         None => Budget::unlimited(),
     };
 
-    // The scope must exist before the solve so worker fan-outs see the
-    // profiler enabled; dropping it after export re-disables profiling.
+    // The scope must exist before the solve; dropping it after export
+    // re-disables profiling.
     let pscope = cli.profile.then(trace::ProfileScope::new);
     let start = std::time::Instant::now();
     // Either the portfolio driver (`--engine ...`) or the classic
