@@ -312,44 +312,6 @@ impl<'a> UnwindInterp<'a> {
         Some(true)
     }
 
-    /// Harvest-only mode: enumerates traces up to the configured
-    /// depth, refutes them, and returns the Farkas interpolant atoms
-    /// per predicate — *without* ever checking inductiveness. The
-    /// data-driven solver uses these as symbolic seeds for its
-    /// learner, so a cheap shallow unwinding is enough.
-    ///
-    /// Output order is deterministic (predicates by id, atoms in
-    /// harvest order); pass a conflict-limited rather than wall-clock
-    /// budget when downstream determinism matters.
-    pub fn harvest_seed_atoms(&mut self, budget: &Budget) -> Vec<(PredId, Atom)> {
-        'depths: for depth in 0..=self.config.max_depth {
-            if budget.exhausted() {
-                break;
-            }
-            let traces = self.traces_at(depth, budget);
-            for trace in &traces {
-                if budget.exhausted() {
-                    break 'depths;
-                }
-                self.traces_seen += 1;
-                if let ConjunctionResult::Unsat { farkas: Some(cert), .. } =
-                    check_conjunction(&trace.atoms, budget)
-                {
-                    self.harvest_interpolants(trace, &cert);
-                }
-            }
-        }
-        let mut preds: Vec<PredId> = self.candidate.keys().copied().collect();
-        preds.sort_by_key(|p| p.0);
-        let mut out = Vec::new();
-        for p in preds {
-            for a in &self.candidate[&p] {
-                out.push((p, a.clone()));
-            }
-        }
-        out
-    }
-
     /// Runs the engine.
     pub fn solve(&mut self, budget: &Budget) -> InterpResult {
         // Trivial case: candidate `true` might already work (no
@@ -479,28 +441,6 @@ mod tests {
         "#;
         let r = run(text, InterpMode::Duality);
         assert!(r.is_unsat(), "{r:?}");
-    }
-
-    #[test]
-    fn harvested_seed_atoms_are_param_local_and_deterministic() {
-        let sys = parse_chc(COUNTER_SAFE).unwrap();
-        let harvest = |depth| {
-            let config =
-                InterpConfig { mode: InterpMode::Duality, max_depth: depth, max_traces: 64 };
-            UnwindInterp::new(&sys, config)
-                .harvest_seed_atoms(&Budget::timeout(Duration::from_secs(30)))
-        };
-        let atoms = harvest(3);
-        assert!(!atoms.is_empty(), "shallow unwinding must yield interpolant atoms");
-        for (p, a) in &atoms {
-            let params = &sys.pred(*p).params;
-            assert!(a.vars().all(|v| params.contains(&v)), "atom {a:?} not param-local");
-        }
-        assert_eq!(
-            atoms.iter().map(|(p, a)| (p.0, format!("{a:?}"))).collect::<Vec<_>>(),
-            harvest(3).iter().map(|(p, a)| (p.0, format!("{a:?}"))).collect::<Vec<_>>(),
-            "harvest must be deterministic"
-        );
     }
 
     #[test]

@@ -2,8 +2,6 @@
 //! integration tests: runs any engine on any benchmark under a
 //! wall-clock budget and scores the verdict against ground truth.
 
-pub mod compare;
-
 use linarb_portfolio::{solve_portfolio, EngineKind, EngineVerdict, PortfolioConfig};
 use linarb_smt::Budget;
 use linarb_solver::{CegarSolver, SolveResult, SolverConfig};

@@ -12,9 +12,8 @@ use linarb_smt::Budget;
 use linarb_suite::{harder_tier, Benchmark};
 use std::time::Duration;
 
-/// The perf_smoke selection (sans the CHC-direct duplicate): loop
-/// invariants needing many refinements, recursion, and an unsat
-/// instance.
+/// A fixed selection of the suite: loop invariants needing many
+/// refinements, recursion, and an unsat instance.
 fn suite() -> Vec<Benchmark> {
     vec![
         linarb_suite::fig1(),

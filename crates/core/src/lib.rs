@@ -198,8 +198,8 @@ pub struct SolverConfig {
     /// Purely a heuristic accelerator: verdicts are unaffected.
     pub seeding: bool,
     /// Extra seed atoms in predicate parameter space, injected by the
-    /// caller (e.g. interpolants harvested by the bench harness from
-    /// `linarb-baselines`, which the core crate cannot depend on).
+    /// caller: the serve daemon's near tier passes the atoms of a
+    /// cached invariant for a structurally similar system.
     /// Ignored when `seeding` is off.
     pub seed_atoms: Vec<(PredId, Atom)>,
     /// Live progress telemetry: when set, the solver pushes one
@@ -1041,7 +1041,6 @@ impl<'a> CegarSolver<'a> {
             oracle_us: self.phase_oracle_us,
             resolve_us: self.phase_resolve_us,
             time_left_ms: budget.remaining().map(|d| d.as_millis() as u64),
-            conflicts_left: budget.effective_conflict_limit(),
         }
     }
 

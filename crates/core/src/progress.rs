@@ -6,7 +6,7 @@
 //! in [`SolverConfig::progress`](crate::SolverConfig). This is the
 //! introspection surface a portfolio canceller or the future serve
 //! daemon polls: is the frontier shrinking, are the sample stores
-//! growing, is the conflict budget draining — without parsing traces.
+//! growing, is the wall-clock budget draining — without parsing traces.
 //!
 //! Snapshots split into two field groups:
 //!
@@ -54,16 +54,12 @@ pub struct ProgressSnapshot {
     /// Milliseconds left on the wall-clock budget, if one is set.
     /// Timing field.
     pub time_left_ms: Option<u64>,
-    /// Conflicts left in the shared conflict pool, if one is set.
-    /// Timing field (portfolio siblings drain the same pool).
-    pub conflicts_left: Option<u64>,
 }
 
 impl ProgressSnapshot {
     /// JSON keys of the wall-clock-dependent fields — everything else
     /// is a pure function of the refinement trajectory. Determinism comparisons drop exactly these.
-    pub const TIMING_FIELDS: [&'static str; 4] =
-        ["oracle_us", "resolve_us", "time_left_ms", "conflicts_left"];
+    pub const TIMING_FIELDS: [&'static str; 3] = ["oracle_us", "resolve_us", "time_left_ms"];
 
     /// The snapshot as one JSON object (one JSONL record).
     pub fn to_json(&self) -> String {
@@ -92,12 +88,6 @@ impl ProgressSnapshot {
             }
             None => s.push_str(",\"time_left_ms\":null"),
         }
-        match self.conflicts_left {
-            Some(n) => {
-                let _ = write!(s, ",\"conflicts_left\":{n}");
-            }
-            None => s.push_str(",\"conflicts_left\":null"),
-        }
         s.push('}');
         s
     }
@@ -119,9 +109,6 @@ impl ProgressSnapshot {
         );
         if let Some(ms) = self.time_left_ms {
             let _ = write!(s, "  budget {:.1}s", ms as f64 / 1e3);
-        }
-        if let Some(n) = self.conflicts_left {
-            let _ = write!(s, "  conflicts {n}");
         }
         s
     }
@@ -220,7 +207,6 @@ mod tests {
             oracle_us: 1_500_000,
             resolve_us: 250_000,
             time_left_ms: Some(28_500),
-            conflicts_left: None,
         }
     }
 
@@ -232,7 +218,6 @@ mod tests {
         assert_eq!(v.get("round").unwrap().as_f64(), Some(3.0));
         assert_eq!(v.get("samples").unwrap().as_f64(), Some(120.0));
         assert_eq!(v.get("time_left_ms").unwrap().as_f64(), Some(28500.0));
-        assert_eq!(v.get("conflicts_left"), Some(&linarb_trace::json::Json::Null));
         // Every timing field is present, so scrubbing by key is total.
         for key in ProgressSnapshot::TIMING_FIELDS {
             assert!(v.get(key).is_some(), "missing timing field {key}");

@@ -28,10 +28,10 @@
 //! The daemon ([`server`]) speaks length-prefixed JSON frames
 //! ([`linarb_trace::frame`]) over a Unix or TCP socket; batches are
 //! sharded across a [`linarb_pool::Pool`] by [`engine::ServeCore`],
-//! which is also usable in-process (the replay bench driver and the
-//! CI smoke test drive it without a socket). [`replay`] generates
-//! thousands of mutated variants of base systems to measure cache
-//! effectiveness: throughput, hit rates, and latency percentiles.
+//! which is also usable in-process (the repository benchmark and the
+//! tests drive it without a socket). [`replay::variant`] generates
+//! deterministic mutated variants of a base system — renamed,
+//! reordered, scaled or perturbed — to exercise both cache tiers.
 
 pub mod cache;
 pub mod cli;
@@ -44,5 +44,4 @@ pub mod server;
 pub use cache::{CacheEntry, CachedVerdict, InvariantCache};
 pub use engine::{JobInput, JobOutcome, ServeConfig, ServeCore, ServeStats, Source};
 pub use proto::{parse_request, JobSpec, Request};
-pub use replay::{run_replay, ReplayConfig, ReplayOutcome};
 pub use server::{parse_addr, serve, BindAddr};

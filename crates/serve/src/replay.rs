@@ -1,6 +1,6 @@
-//! Replay bench driver: measures cache effectiveness by re-submitting
-//! thousands of mutated variants of base systems (DESIGN.md §15,
-//! EXPERIMENTS.md).
+//! Variant generator for replaying cached workloads (DESIGN.md §15):
+//! deterministic mutated copies of a base system, for measuring and
+//! testing the serve daemon's cache.
 //!
 //! Each base system spawns a deterministic stream of variants built
 //! from three *syntactic* mutations and one *semantic* one:
@@ -18,93 +18,9 @@
 //! models the intended service workload — mostly resubmissions of
 //! systems the daemon has already seen in different syntactic dress,
 //! with a steady minority of genuinely new problems.
-//!
-//! The same variant stream runs through a cache-enabled core and a
-//! cache-disabled core; the driver reports throughput for both, the
-//! exact/near hit rates, latency percentiles, and any verdict
-//! disagreements between the two runs (always zero modulo unknowns —
-//! the cache must never change an answer).
-
-use std::time::{Duration, Instant};
 
 use linarb_arith::BigInt;
 use linarb_logic::{Atom, ChcSystem, ClauseHead, Formula, PredApp};
-
-use crate::engine::{JobInput, JobOutcome, ServeConfig, ServeCore, Source, Tier};
-
-/// Replay driver configuration.
-#[derive(Clone, Debug)]
-pub struct ReplayConfig {
-    /// Mutated variants generated per base system (the originals are
-    /// submitted first and are not counted here).
-    pub variants_per_base: usize,
-    /// RNG seed for the mutation stream.
-    pub seed: u64,
-    /// Jobs per submitted batch.
-    pub batch: usize,
-    /// Per-job budget.
-    pub timeout: Duration,
-    /// Pool width of both cores.
-    pub threads: usize,
-}
-
-impl Default for ReplayConfig {
-    fn default() -> ReplayConfig {
-        ReplayConfig {
-            variants_per_base: 125,
-            seed: 0x1abb_5eed,
-            batch: 64,
-            // Perturbed variants are semantically new problems and can
-            // be arbitrarily harder than their base; a bounded per-job
-            // budget keeps one pathological mutant from dominating the
-            // whole replay (it costs an `unknown`, counted per side).
-            timeout: Duration::from_secs(10),
-            threads: ServeConfig::default().threads,
-        }
-    }
-}
-
-/// Timing and hit counters for one side (warm or cold) of a replay.
-#[derive(Clone, Debug, Default)]
-pub struct RunSide {
-    /// Total wall time of the run.
-    pub wall_s: f64,
-    /// Jobs per second.
-    pub throughput: f64,
-    /// Median per-job latency (µs).
-    pub p50_us: u64,
-    /// 99th-percentile per-job latency (µs).
-    pub p99_us: u64,
-    /// Exact-tier hits.
-    pub exact_hits: u64,
-    /// Near-tier warm starts.
-    pub near_hits: u64,
-    /// Cold solves.
-    pub misses: u64,
-    /// Exact-tier candidates that failed re-verification.
-    pub verify_failures: u64,
-    /// Unknown verdicts.
-    pub unknown: u64,
-}
-
-/// The replay driver's report (the `serve` section of `BENCH_<n>.json`).
-#[derive(Clone, Debug, Default)]
-pub struct ReplayOutcome {
-    /// Base systems.
-    pub bases: usize,
-    /// Total jobs per side (bases + variants).
-    pub jobs: usize,
-    /// Cache-enabled side.
-    pub warm: RunSide,
-    /// Cache-disabled side.
-    pub cold: RunSide,
-    /// `cold.wall_s / warm.wall_s`.
-    pub speedup: f64,
-    /// Variants where the two sides returned different *definite*
-    /// verdicts. Must be zero: the cache may change speed, never
-    /// answers.
-    pub mismatches: usize,
-}
 
 /// xorshift64* — the workspace's stock tiny deterministic RNG,
 /// re-implemented locally because `linarb-testutil` is a
@@ -328,80 +244,6 @@ fn perturb_tweak(sys: &ChcSystem, rng: &mut Rng) -> Tweak {
 fn parse_roundtrip(sys: &ChcSystem) -> ChcSystem {
     linarb_logic::parse_chc(&sys.to_smtlib()).expect("smtlib round trip")
 }
-
-fn run_side(cfg: &ReplayConfig, cache: bool, jobs: &[(String, ChcSystem)]) -> (RunSide, Vec<JobOutcome>) {
-    let core = ServeCore::new(ServeConfig {
-        threads: cfg.threads,
-        timeout: cfg.timeout,
-        cache,
-        ..ServeConfig::default()
-    });
-    let start = Instant::now();
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    for chunk in jobs.chunks(cfg.batch.max(1)) {
-        let inputs: Vec<JobInput> = chunk
-            .iter()
-            .enumerate()
-            .map(|(k, (name, sys))| JobInput {
-                id: (outcomes.len() + k) as u64,
-                name: name.clone(),
-                source: Source::System(sys.clone()),
-            })
-            .collect();
-        outcomes.extend(core.submit_batch(inputs));
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    let stats = core.stats();
-    let mut lat: Vec<u64> = outcomes.iter().map(|o| o.wall_us).collect();
-    lat.sort_unstable();
-    let pct = |q: usize| -> u64 {
-        if lat.is_empty() {
-            0
-        } else {
-            lat[(lat.len() - 1) * q / 100]
-        }
-    };
-    let side = RunSide {
-        wall_s,
-        throughput: if wall_s > 0.0 { outcomes.len() as f64 / wall_s } else { 0.0 },
-        p50_us: pct(50),
-        p99_us: pct(99),
-        exact_hits: stats.exact_hits,
-        near_hits: stats.near_hits,
-        misses: stats.misses,
-        verify_failures: stats.verify_failures,
-        unknown: stats.unknown,
-    };
-    (side, outcomes)
-}
-
-/// Runs the full replay: generates the variant stream, drives it
-/// through a warm (cache-enabled) and a cold (cache-disabled) core,
-/// and cross-checks the verdicts.
-pub fn run_replay(bases: &[(String, ChcSystem)], cfg: &ReplayConfig) -> ReplayOutcome {
-    let mut jobs: Vec<(String, ChcSystem)> = Vec::new();
-    for (name, sys) in bases {
-        jobs.push((name.clone(), sys.clone()));
-        for i in 0..cfg.variants_per_base {
-            jobs.push((format!("{name}@{i}"), variant(sys, cfg.seed, i)));
-        }
-    }
-    let (warm, warm_out) = run_side(cfg, true, &jobs);
-    let (cold, cold_out) = run_side(cfg, false, &jobs);
-    let mismatches = warm_out
-        .iter()
-        .zip(cold_out.iter())
-        .filter(|(w, c)| {
-            w.verdict != c.verdict && w.verdict != "unknown" && c.verdict != "unknown"
-        })
-        .count();
-    let speedup = if warm.wall_s > 0.0 { cold.wall_s / warm.wall_s } else { 0.0 };
-    ReplayOutcome { bases: bases.len(), jobs: jobs.len(), warm, cold, speedup, mismatches }
-}
-
-// `Tier` is part of this module's contract with the engine.
-#[doc(hidden)]
-pub type _TierRef = Tier;
 
 #[cfg(test)]
 mod tests {

@@ -1,12 +1,12 @@
 //! End-to-end tests for the serve subsystem: cache tiers, verdict
-//! stability, the socket daemon, and the replay driver.
+//! stability, the socket daemon, and a warm-vs-cold variant replay.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use linarb_serve::engine::{JobInput, ServeConfig, ServeCore, Source, Tier};
 use linarb_serve::client::Client;
-use linarb_serve::replay::{run_replay, variant, ReplayConfig};
+use linarb_serve::replay::variant;
 use linarb_serve::server::{serve, BindAddr};
 use linarb_smt::Budget;
 use linarb_solver::{CegarSolver, SolveResult, SolverConfig};
@@ -184,30 +184,54 @@ fn malformed_frames_get_error_responses() {
 
 #[test]
 fn replay_driver_small_run_agrees_and_hits() {
-    let bases: Vec<(String, linarb_logic::ChcSystem)> = [fig1(), fibo_unsafe()]
-        .into_iter()
-        .map(|b| (b.name.clone(), b.system))
-        .collect();
-    let cfg = ReplayConfig {
-        variants_per_base: 12,
-        threads: 2,
-        timeout: Duration::from_secs(60),
-        ..ReplayConfig::default()
+    // The same variant stream through a cache-enabled (warm) and a
+    // cache-disabled (cold) core: the cache may change speed, never
+    // answers.
+    let mut jobs: Vec<(String, linarb_logic::ChcSystem)> = Vec::new();
+    for b in [fig1(), fibo_unsafe()] {
+        let variants: Vec<_> = (0..12)
+            .map(|i| (format!("{}@{i}", b.name), variant(&b.system, 0x1abb_5eed, i)))
+            .collect();
+        jobs.push((b.name, b.system));
+        jobs.extend(variants);
+    }
+    assert_eq!(jobs.len(), 2 * 13);
+    let run = |cache: bool| {
+        let core = ServeCore::new(ServeConfig { cache, ..test_config() });
+        let mut verdicts = Vec::with_capacity(jobs.len());
+        for chunk in jobs.chunks(8) {
+            let inputs: Vec<JobInput> = chunk
+                .iter()
+                .enumerate()
+                .map(|(k, (name, sys))| JobInput {
+                    id: (verdicts.len() + k) as u64,
+                    name: name.clone(),
+                    source: Source::System(sys.clone()),
+                })
+                .collect();
+            verdicts.extend(core.submit_batch(inputs).into_iter().map(|o| o.verdict));
+        }
+        (verdicts, core.stats())
     };
-    let out = run_replay(&bases, &cfg);
-    assert_eq!(out.jobs, 2 * 13);
-    assert_eq!(out.mismatches, 0, "cache must never change a verdict");
-    assert_eq!(out.warm.unknown, 0);
+    let (warm_verdicts, warm) = run(true);
+    let (cold_verdicts, cold) = run(false);
+    let mismatches = warm_verdicts
+        .iter()
+        .zip(&cold_verdicts)
+        .filter(|(w, c)| w != c && *w != "unknown" && *c != "unknown")
+        .count();
+    assert_eq!(mismatches, 0, "cache must never change a verdict");
+    assert_eq!(warm.unknown, 0);
     // Rename/reorder/scale variants (7 of every 8) must hit the exact
     // tier after each base's first solve: 12 variants per base means
     // 10 exact-class ones each (indices 0 and 8 are perturbations).
     assert!(
-        out.warm.exact_hits >= 20,
+        warm.exact_hits >= 20,
         "expected most mutants to exact-hit, got {} (near {}, miss {})",
-        out.warm.exact_hits,
-        out.warm.near_hits,
-        out.warm.misses
+        warm.exact_hits,
+        warm.near_hits,
+        warm.misses
     );
-    assert_eq!(out.cold.exact_hits + out.cold.near_hits, 0, "cold side must not hit");
-    assert_eq!(out.warm.verify_failures, 0);
+    assert_eq!(cold.exact_hits + cold.near_hits, 0, "cold side must not hit");
+    assert_eq!(warm.verify_failures, 0);
 }

@@ -8,24 +8,6 @@
 //! carries the CDCL conflict cap for a single SAT search, replacing the
 //! solver's former hard-coded constant.
 //!
-//! # Global conflict budgets and parallelism
-//!
-//! The per-search conflict cap alone is wrong under parallel clause
-//! checking: N concurrent oracle checks would each get the full cap,
-//! multiplying the effective budget by N. A budget can therefore also
-//! carry a **shared** conflict pool ([`Budget::with_global_conflict_limit`]):
-//! clones of the budget (one per worker) all draw down the same atomic
-//! counter, engines charge the conflicts each SAT search actually spent
-//! ([`Budget::charge_conflicts`]), and cap the next search at whatever
-//! remains ([`Budget::effective_conflict_limit`]). When the pool runs
-//! dry, [`Budget::exhausted`] trips and every worker winds down.
-//!
-//! Note that *when* a shared pool trips is inherently timing-dependent
-//! (it depends on how conflicts interleave across workers), so
-//! deterministic runs — tests, differential comparisons — should use
-//! per-search caps only. [`Budget::unlimited`] and friends never attach
-//! a pool; it is strictly opt-in.
-//!
 //! # Cooperative cancellation
 //!
 //! The portfolio driver races several engines under one budget and
@@ -34,23 +16,16 @@
 //! ([`Budget::with_cancel_token`]): flipping the token makes
 //! [`Budget::exhausted`] (and its alias [`Budget::should_stop`]) return
 //! `true` on every clone, so each engine winds down at its next poll
-//! site — the same poll sites that already observe deadlines and
-//! drained conflict pools. Cancellation is level-triggered and
-//! irreversible for the life of the token.
+//! site — the same poll sites that already observe deadlines.
+//! Cancellation is level-triggered and irreversible for the life of
+//! the token.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The CDCL conflict cap used when a budget doesn't override it.
 pub(crate) const DEFAULT_CONFLICT_LIMIT: u64 = 500_000;
-
-/// A conflict allowance shared by every clone of a budget.
-#[derive(Debug)]
-struct ConflictPool {
-    limit: u64,
-    used: AtomicU64,
-}
 
 /// A shared cancellation flag for cooperative early termination.
 ///
@@ -93,7 +68,7 @@ impl CancelToken {
 
 /// A wall-clock + search-effort budget for a solving task.
 ///
-/// Cloning a budget is cheap and shares the global conflict pool (if
+/// Cloning a budget is cheap and shares the cancellation token (if
 /// any); the deadline and per-search cap are plain values.
 ///
 /// ```
@@ -108,18 +83,11 @@ impl CancelToken {
 ///
 /// let capped = Budget::unlimited().with_conflict_limit(Some(1_000));
 /// assert_eq!(capped.conflict_limit(), Some(1_000));
-///
-/// // A shared pool is drawn down by every clone.
-/// let shared = Budget::unlimited().with_global_conflict_limit(100);
-/// let worker = shared.clone();
-/// worker.charge_conflicts(100);
-/// assert!(shared.exhausted());
 /// ```
 #[derive(Clone, Debug)]
 pub struct Budget {
     deadline: Option<Instant>,
     conflict_limit: Option<u64>,
-    pool: Option<Arc<ConflictPool>>,
     cancel: Option<CancelToken>,
 }
 
@@ -130,7 +98,6 @@ impl Budget {
         Budget {
             deadline: None,
             conflict_limit: Some(DEFAULT_CONFLICT_LIMIT),
-            pool: None,
             cancel: None,
         }
     }
@@ -140,7 +107,6 @@ impl Budget {
         Budget {
             deadline: Some(Instant::now() + d),
             conflict_limit: Some(DEFAULT_CONFLICT_LIMIT),
-            pool: None,
             cancel: None,
         }
     }
@@ -150,7 +116,6 @@ impl Budget {
         Budget {
             deadline: Some(deadline),
             conflict_limit: Some(DEFAULT_CONFLICT_LIMIT),
-            pool: None,
             cancel: None,
         }
     }
@@ -160,16 +125,6 @@ impl Budget {
     /// wall-clock deadline trips.
     pub fn with_conflict_limit(mut self, limit: Option<u64>) -> Budget {
         self.conflict_limit = limit;
-        self
-    }
-
-    /// Attaches a **shared** conflict allowance: all clones of this
-    /// budget (e.g. one per parallel worker) draw down the same
-    /// counter, so the total conflicts spent across concurrent checks
-    /// is bounded by `limit` — not `limit × workers`. Replaces any
-    /// previously attached pool with a fresh one.
-    pub fn with_global_conflict_limit(mut self, limit: u64) -> Budget {
-        self.pool = Some(Arc::new(ConflictPool { limit, used: AtomicU64::new(0) }));
         self
     }
 
@@ -199,58 +154,21 @@ impl Budget {
     }
 
     /// Was this budget cancelled through its token? (`false` without
-    /// one; deadline and conflict-pool exhaustion are *not* reported
-    /// here — use [`exhausted`](Budget::exhausted) for the union.)
+    /// one; deadline expiry is *not* reported here — use
+    /// [`exhausted`](Budget::exhausted) for the union.)
     pub fn cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// The per-search conflict cap (ignores the shared pool).
+    /// The per-search CDCL conflict cap.
     pub fn conflict_limit(&self) -> Option<u64> {
         self.conflict_limit
     }
 
-    /// The cap the *next* SAT search should run under: the per-search
-    /// cap clamped to what's left in the shared pool. Engines should
-    /// re-read this before every search, since concurrent workers may
-    /// have drained the pool in the meantime.
-    pub fn effective_conflict_limit(&self) -> Option<u64> {
-        match (self.conflict_limit, self.global_conflicts_remaining()) {
-            (Some(per), Some(rem)) => Some(per.min(rem)),
-            (per, rem) => per.or(rem),
-        }
-    }
-
-    /// Records `n` conflicts spent against the shared pool (no-op
-    /// without one).
-    pub fn charge_conflicts(&self, n: u64) {
-        if let Some(pool) = &self.pool {
-            pool.used.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Conflicts left in the shared pool, or `None` when no pool is
-    /// attached.
-    pub fn global_conflicts_remaining(&self) -> Option<u64> {
-        self.pool
-            .as_ref()
-            .map(|p| p.limit.saturating_sub(p.used.load(Ordering::Relaxed)))
-    }
-
-    /// Total conflicts charged to the shared pool so far (0 without
-    /// one).
-    pub fn global_conflicts_used(&self) -> u64 {
-        self.pool.as_ref().map(|p| p.used.load(Ordering::Relaxed)).unwrap_or(0)
-    }
-
-    /// Returns `true` once the deadline has passed, the shared
-    /// conflict pool has run dry, or the cancellation token (if any)
-    /// has been flipped.
+    /// Returns `true` once the deadline has passed or the cancellation
+    /// token (if any) has been flipped.
     pub fn exhausted(&self) -> bool {
         if self.cancelled() {
-            return true;
-        }
-        if self.global_conflicts_remaining() == Some(0) {
             return true;
         }
         match self.deadline {
@@ -289,8 +207,6 @@ mod tests {
         assert!(!b.exhausted());
         assert_eq!(b.remaining(), None);
         assert_eq!(b.conflict_limit(), Some(DEFAULT_CONFLICT_LIMIT));
-        assert_eq!(b.global_conflicts_remaining(), None);
-        assert_eq!(b.effective_conflict_limit(), Some(DEFAULT_CONFLICT_LIMIT));
     }
 
     #[test]
@@ -309,36 +225,6 @@ mod tests {
         let later = Budget::timeout(Duration::from_secs(3600));
         assert!(!later.exhausted());
         assert!(later.remaining().unwrap() > Duration::from_secs(3000));
-    }
-
-    #[test]
-    fn shared_pool_is_drawn_down_by_clones() {
-        let b = Budget::unlimited()
-            .with_conflict_limit(Some(100))
-            .with_global_conflict_limit(150);
-        let w1 = b.clone();
-        let w2 = b.clone();
-        // Per-search cap wins while the pool is fuller than it.
-        assert_eq!(b.effective_conflict_limit(), Some(100));
-        w1.charge_conflicts(90);
-        // 60 left globally: the next search is clamped below its
-        // per-search cap.
-        assert_eq!(w2.effective_conflict_limit(), Some(60));
-        assert!(!b.exhausted());
-        w2.charge_conflicts(60);
-        assert_eq!(b.global_conflicts_used(), 150);
-        assert_eq!(b.effective_conflict_limit(), Some(0));
-        assert!(b.exhausted(), "a drained pool exhausts every clone");
-        assert!(w1.exhausted());
-    }
-
-    #[test]
-    fn pool_overdraw_saturates() {
-        let b = Budget::unlimited().with_global_conflict_limit(10);
-        b.charge_conflicts(25);
-        assert_eq!(b.global_conflicts_remaining(), Some(0));
-        assert_eq!(b.global_conflicts_used(), 25);
-        assert!(b.exhausted());
     }
 
     #[test]
@@ -366,13 +252,10 @@ mod tests {
     #[test]
     fn cancellation_is_independent_of_other_limits() {
         let token = CancelToken::new();
-        let b = Budget::timeout(Duration::from_secs(3600))
-            .with_global_conflict_limit(1_000)
-            .with_cancel_token(token.clone());
+        let b = Budget::timeout(Duration::from_secs(3600)).with_cancel_token(token.clone());
         assert!(!b.exhausted());
         token.cancel();
         assert!(b.exhausted(), "cancel wins even with time and conflicts left");
-        assert_eq!(b.global_conflicts_remaining(), Some(1_000));
         assert!(b.remaining().unwrap() > Duration::from_secs(3000));
     }
 }

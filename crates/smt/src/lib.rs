@@ -246,16 +246,12 @@ fn check_sat_loop_online(enc: &mut Encoder, budget: &Budget, rounds: &mut u64) -
             return SmtResult::Unknown;
         }
         *rounds += 1;
-        // Re-read the cap every round: concurrent workers may have
-        // drained a shared conflict pool since the last search.
-        enc.sat.set_conflict_limit(budget.effective_conflict_limit());
-        let conflicts0 = enc.sat.num_conflicts();
+        enc.sat.set_conflict_limit(budget.conflict_limit());
         let mut hook = online::LiaHook::new(&mut theory, &atom_list, budget);
         let verdict = enc.sat.solve_with_theory(&[], &mut hook);
         let model = hook.model.take();
         let abandoned = hook.abandoned.take();
         drop(hook);
-        budget.charge_conflicts(enc.sat.num_conflicts() - conflicts0);
         match verdict {
             SatResult::Unsat => {
                 return if had_theory_unknown { SmtResult::Unknown } else { SmtResult::Unsat }
@@ -294,12 +290,8 @@ fn check_sat_loop_offline(enc: &mut Encoder, budget: &Budget, rounds: &mut u64) 
             return SmtResult::Unknown;
         }
         *rounds += 1;
-        // Re-read the cap every round: concurrent workers may have
-        // drained a shared conflict pool since the last search.
-        enc.sat.set_conflict_limit(budget.effective_conflict_limit());
-        let conflicts0 = enc.sat.num_conflicts();
+        enc.sat.set_conflict_limit(budget.conflict_limit());
         let verdict = enc.sat.solve();
-        budget.charge_conflicts(enc.sat.num_conflicts() - conflicts0);
         match verdict {
             SatResult::Unsat => {
                 return if had_theory_unknown { SmtResult::Unknown } else { SmtResult::Unsat }

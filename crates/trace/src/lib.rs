@@ -44,7 +44,6 @@
 //! assert_eq!(events[2].fields[0].1.to_string(), "ok");
 //! ```
 
-pub mod alloc;
 mod event;
 pub mod frame;
 pub mod json;

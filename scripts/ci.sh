@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline CI gate: build, test, trace smoke, perf smoke. No network
+# Offline CI gate: build, test, smokes, benchmark quick run. No network
 # access needed — the workspace has no external dependencies and
 # `--offline` makes cargo fail loudly rather than silently reach for
 # the index.
@@ -151,8 +151,8 @@ echo "== profiler smoke (hierarchical self-profile of one benchmark) =="
 # file must contain the canonical solve path, and the profile tree's
 # structural invariant is checked inside the binary itself (a
 # violation prints to stderr; grep keeps it fatal here). The
-# disabled-overhead direction is covered by the perf-smoke baseline
-# guard below, which runs with no profile scope installed.
+# disabled-overhead direction is covered by the benchmark's untraced
+# `total_s`, compared parent against change (benchmark/README.md).
 prof_out="$(mktemp /tmp/linarb_prof.XXXXXX.json)"
 prof_err="$(mktemp /tmp/linarb_prof.XXXXXX.err)"
 cargo run --release --offline -p linarb --bin linarb -- \
@@ -166,40 +166,5 @@ if grep -q 'profile invariant violated' "$prof_err"; then
     exit 1
 fi
 rm -f "$prof_out" "$prof_out.folded" "$prof_err"
-
-echo "== perf smoke (incremental vs fresh oracle) =="
-# Writes BENCH_<n>.json into the repo root; see EXPERIMENTS.md for the
-# report schema. Keep the per-benchmark budget modest in CI. When an
-# earlier report exists, the newest one doubles as the disabled-
-# overhead baseline (tracing off must not move the wall clock) AND the
-# regression-gate reference: --compare writes BENCH_DIFF.md and fails
-# on a solved-count drop or a gated wall regression.
-baseline="$(ls -1 BENCH_*.json 2>/dev/null | sort -V | tail -n 1 || true)"
-compare_args=()
-if [ -n "$baseline" ]; then
-    compare_args=(--compare "$baseline")
-fi
-# CI trims the serve replay to 25 variants/base (the checked-in BENCH
-# reports use the full 125, i.e. 1000 mutants; the serve section is
-# informational to --compare either way).
-LINARB_SMOKE_TIMEOUT_MS="${LINARB_SMOKE_TIMEOUT_MS:-30000}" \
-LINARB_SMOKE_REPLAY_VARIANTS="${LINARB_SMOKE_REPLAY_VARIANTS:-25}" \
-LINARB_SMOKE_BASELINE="${LINARB_SMOKE_BASELINE:-$baseline}" \
-    cargo run --release --offline -p linarb-bench --bin perf_smoke -- \
-    "${compare_args[@]}"
-
-echo "== bench-regression gate self-test (injected slowdown must fail) =="
-# Diff the newest report against itself with a synthetic 2x slowdown
-# injected into the "current" side: the gate must trip. Guards the
-# guard — a comparison that cannot fail is not a gate.
-newest="$(ls -1 BENCH_*.json 2>/dev/null | sort -V | tail -n 1 || true)"
-if [ -n "$newest" ]; then
-    if LINARB_SMOKE_INJECT_SLOWDOWN=2 LINARB_SMOKE_OUT_DIR="$(mktemp -d)" \
-        cargo run --release --offline -p linarb-bench --bin perf_smoke -- \
-        --compare-only "$newest" "$newest"; then
-        echo "regression gate failed to catch an injected 2x slowdown" >&2
-        exit 1
-    fi
-fi
 
 echo "== ci ok =="
