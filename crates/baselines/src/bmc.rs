@@ -13,7 +13,7 @@
 use crate::util::{instantiate_clause, ClauseInstance, FreshVars};
 use linarb_logic::{Atom, ChcSystem, ClauseId, Formula, LinExpr, Model, PredId};
 use linarb_smt::{check_sat, Budget, SmtResult};
-use linarb_solver::{CrossSeed, DerivationNode};
+use linarb_solver::DerivationNode;
 
 /// Result of a bounded check.
 #[derive(Debug)]
@@ -133,32 +133,9 @@ fn extract(node: &ShadowNode, model: &Model) -> Option<DerivationNode> {
     None
 }
 
-/// Publishes every state of the derivation as a negative sample: each
-/// one reaches the goal violation, so no invariant may contain it.
-fn publish_states(node: &DerivationNode, sink: &dyn CrossSeed) {
-    if let Some(p) = node.pred {
-        sink.publish_negative(p, &node.sample);
-    }
-    for child in &node.children {
-        publish_states(child, sink);
-    }
-}
-
 /// Checks all query clauses for violations by derivations of height ≤
 /// `max_depth`, by iterative deepening.
 pub fn bmc(sys: &ChcSystem, max_depth: usize, budget: &Budget) -> BmcResult {
-    bmc_with_sink(sys, max_depth, budget, None)
-}
-
-/// [`bmc`] with an optional cross-seeding bus: on a violation, every
-/// state of the counterexample derivation is published as a negative
-/// sample for the portfolio's CEGAR engine.
-pub fn bmc_with_sink(
-    sys: &ChcSystem,
-    max_depth: usize,
-    budget: &Budget,
-    sink: Option<&dyn CrossSeed>,
-) -> BmcResult {
     for depth in 0..=max_depth {
         if budget.exhausted() {
             return BmcResult::Unknown;
@@ -207,9 +184,6 @@ pub fn bmc_with_sink(
                         model: inst.pull_back(&model),
                         children,
                     };
-                    if let Some(sink) = sink {
-                        publish_states(&derivation, sink);
-                    }
                     return BmcResult::Violation { depth, model, derivation };
                 }
                 SmtResult::Unsat => {}

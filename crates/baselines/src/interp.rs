@@ -28,10 +28,8 @@ use linarb_logic::{
     Atom, ChcSystem, Formula, Interpretation, LinExpr, PredId, Var,
 };
 use linarb_smt::{check_conjunction, check_sat, Budget, ConjunctionResult, SmtResult};
-use linarb_solver::CrossSeed;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Interpolation strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,23 +103,13 @@ pub struct UnwindInterp<'a> {
     sys: &'a ChcSystem,
     config: InterpConfig,
     candidate: HashMap<PredId, Vec<Atom>>,
-    /// Optional portfolio seeding bus: harvested Farkas-plane atoms are
-    /// published as candidate hyperplanes for the CEGAR learner.
-    sink: Option<Arc<dyn CrossSeed>>,
     traces_seen: usize,
 }
 
 impl<'a> UnwindInterp<'a> {
     /// Creates an engine for `sys`.
     pub fn new(sys: &'a ChcSystem, config: InterpConfig) -> UnwindInterp<'a> {
-        UnwindInterp { sys, config, candidate: HashMap::new(), sink: None, traces_seen: 0 }
-    }
-
-    /// Attaches a cross-seeding bus: every harvested interpolant atom
-    /// is published for the portfolio's CEGAR engine.
-    pub fn with_seed_sink(mut self, sink: Arc<dyn CrossSeed>) -> UnwindInterp<'a> {
-        self.sink = Some(sink);
-        self
+        UnwindInterp { sys, config, candidate: HashMap::new(), traces_seen: 0 }
     }
 
     /// Traces enumerated so far (statistics).
@@ -276,9 +264,6 @@ impl<'a> UnwindInterp<'a> {
             }
             let list = self.candidate.entry(node.pred).or_default();
             if !list.contains(&atom) {
-                if let Some(sink) = &self.sink {
-                    sink.publish_atom(node.pred, &atom);
-                }
                 list.push(atom);
             }
         }

@@ -23,7 +23,7 @@ mod pdr;
 mod pie;
 mod util;
 
-pub use bmc::{bmc, bmc_with_sink, BmcResult};
+pub use bmc::{bmc, BmcResult};
 pub use dig::DigLearner;
 pub use interp::{InterpConfig, InterpMode, InterpResult, UnwindInterp};
 pub use pdr::{Cube, PdrConfig, PdrResult, PdrSolver};

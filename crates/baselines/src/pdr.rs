@@ -21,9 +21,8 @@ use linarb_logic::{
 };
 use linarb_ml::Sample;
 use linarb_smt::{check_sat, Budget, SmtResult};
-use linarb_solver::{CrossSeed, DerivationNode};
+use linarb_solver::DerivationNode;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 /// A conjunction of atoms over a predicate's parameters.
 pub type Cube = Vec<Atom>;
@@ -91,9 +90,6 @@ pub struct PdrSolver<'a> {
     /// justified before their parents, so certificate extraction
     /// terminates.
     justif: HashMap<(PredId, Sample), (ClauseId, Model, Vec<(PredId, Sample)>)>,
-    /// Optional portfolio seeding bus: generalized lemma atoms are
-    /// published as candidate hyperplanes for the CEGAR learner.
-    sink: Option<Arc<dyn CrossSeed>>,
     obligations: usize,
 }
 
@@ -106,16 +102,8 @@ impl<'a> PdrSolver<'a> {
             frames: vec![BTreeMap::new(), BTreeMap::new()],
             reach: BTreeMap::new(),
             justif: HashMap::new(),
-            sink: None,
             obligations: 0,
         }
-    }
-
-    /// Attaches a cross-seeding bus: each generalized lemma's atoms are
-    /// published for the portfolio's CEGAR engine.
-    pub fn with_seed_sink(mut self, sink: Arc<dyn CrossSeed>) -> PdrSolver<'a> {
-        self.sink = Some(sink);
-        self
     }
 
     /// Number of proof obligations processed (statistics).
@@ -302,13 +290,6 @@ impl<'a> PdrSolver<'a> {
     }
 
     fn add_lemma(&mut self, pred: PredId, cube: Cube, level: usize) {
-        if let Some(sink) = &self.sink {
-            // Lemma atoms are half-planes over the predicate's
-            // parameters — exactly what the CEGAR seed store wants.
-            for atom in &cube {
-                sink.publish_atom(pred, atom);
-            }
-        }
         for i in 1..=level {
             while self.frames.len() <= i {
                 self.frames.push(BTreeMap::new());

@@ -109,7 +109,6 @@ pub fn run_engine(engine: Engine, bench: &Benchmark, timeout: Duration) -> RunOu
             kind,
             &bench.system,
             &budget,
-            None,
             pconfig.bmc_max_depth,
         ) {
             EngineVerdict::Sat(_) => Verdict::Safe,

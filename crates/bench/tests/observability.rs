@@ -1,12 +1,15 @@
 //! Integration tests for the observability subsystem: the
-//! hierarchical self-profiler, the progress reporter, and their
-//! determinism contracts across repeated runs.
+//! hierarchical self-profiler, the progress reporter, their
+//! determinism contracts across repeated runs, and the reason a solve
+//! reports when its budget stops it.
 
-use linarb_smt::Budget;
-use linarb_solver::{CegarSolver, ProgressReporter, ProgressSnapshot, SolveResult, SolverConfig};
-use linarb_suite::fig1;
+use linarb_smt::{Budget, CancelToken};
+use linarb_solver::{
+    CegarSolver, ProgressReporter, ProgressSnapshot, SolveResult, SolverConfig, UnknownReason,
+};
+use linarb_suite::{fig1, sharma2011};
 use linarb_trace::{json, ProfileScope, ProfileTree};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn solve_profiled() -> (ProfileTree, u128) {
     let b = fig1();
@@ -124,4 +127,27 @@ fn no_scope_means_no_tree() {
     // Installing a scope *after* the solve sees an empty tree.
     let scope = ProfileScope::new();
     assert_eq!(scope.take_tree().root_incl_us(), 0);
+}
+
+/// A solve stopped by its budget says so: a cancel that lands while
+/// the oracle is mid-check is a timeout, not the oracle giving up.
+/// `sharma2011` keeps the CEGAR loop busy in long checks well past
+/// every cancel; several delays make a mid-check landing likely.
+#[test]
+fn cancel_during_a_long_solve_reports_timeout() {
+    let b = sharma2011();
+    for delay_ms in [150, 225, 300, 375, 450] {
+        let token = CancelToken::new();
+        let budget = Budget::unlimited().with_cancel_token(token.clone());
+        let canceller = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(delay_ms));
+            token.cancel();
+        });
+        let result = CegarSolver::new(&b.system, SolverConfig::default()).solve(&budget);
+        canceller.join().unwrap();
+        assert!(
+            matches!(result, SolveResult::Unknown(UnknownReason::Timeout)),
+            "cancel at {delay_ms} ms: expected a timeout, got {result:?}"
+        );
+    }
 }

@@ -168,3 +168,41 @@ fn portfolio_beats_lone_cegar_on_harder_tier() {
         "no harder-tier instance separates the portfolio from lone CEGAR"
     );
 }
+
+/// Engines start one per solver family first, so at race width 2
+/// spacer runs beside cegar. It proves the wide-constant loops of
+/// `harder_tier(1)`, where the CEGAR learners, which filled both
+/// workers before, ran into the budget. The width is fixed here,
+/// not read from `LINARB_THREADS`.
+#[test]
+fn width_two_race_solves_hard_wide_systems() {
+    let config = PortfolioConfig::default().with_threads(2);
+    let wide: Vec<Benchmark> = harder_tier(1)
+        .into_iter()
+        .filter(|b| b.name.starts_with("hard_wide_"))
+        .collect();
+    assert!(!wide.is_empty(), "harder_tier(1) has no hard_wide systems");
+    for bench in wide {
+        let out = solve_portfolio(&bench.system, &config, &Budget::timeout(Duration::from_secs(2)));
+        assert!(out.verdict.is_sat(), "{}: {:?}", bench.name, out.verdict);
+        assert!(
+            check_certificate(&bench.system, &out.verdict, &Budget::unlimited()),
+            "{}: invariant fails the independent check",
+            bench.name
+        );
+        assert!(
+            matches!(
+                out.winner,
+                Some(
+                    EngineKind::Spacer
+                        | EngineKind::Gpdr
+                        | EngineKind::Duality
+                        | EngineKind::UAutomizer
+                )
+            ),
+            "{}: won by {:?}, not a PDR or interpolation engine",
+            bench.name,
+            out.winner
+        );
+    }
+}

@@ -104,37 +104,6 @@ pub trait Learner: Send + Sync {
     fn name(&self) -> &str;
 }
 
-/// A cross-engine seeding bus for portfolio runs.
-///
-/// When several engines race on one system, the losers can still help
-/// the winner: PDR publishes its inductive lemma atoms, interpolation
-/// its Farkas planes, and BMC the states of candidate counterexample
-/// prefixes. The CEGAR solver drains the bus at every round boundary —
-/// atoms flow into its [`SeedStore`] and negatives into the sample
-/// stores (skipped when already derived positive, since a
-/// backward-reachable state that is also forward-derivable means the
-/// system is unsat and some engine is about to prove it).
-///
-/// Implementations live outside this crate (the portfolio driver); the
-/// trait is defined here so `linarb-baselines` engines can publish and
-/// [`CegarSolver`] can consume without a dependency cycle.
-///
-/// Attaching a bus makes the refinement trajectory dependent on engine
-/// timing, so it is never used on the deterministic single-engine
-/// paths.
-pub trait CrossSeed: Send + Sync {
-    /// Publishes a candidate separating atom for `pred`, expressed
-    /// over the predicate's parameters.
-    fn publish_atom(&self, pred: PredId, atom: &Atom);
-    /// Publishes a state of `pred` that no invariant may contain (it
-    /// reaches a goal violation).
-    fn publish_negative(&self, pred: PredId, sample: &Sample);
-    /// Drains the atoms published since the last call.
-    fn take_atoms(&self) -> Vec<(PredId, Atom)>;
-    /// Drains the negatives published since the last call.
-    fn take_negatives(&self) -> Vec<(PredId, Sample)>;
-}
-
 /// The default learner: the paper's machine-learning toolchain.
 #[derive(Clone, Debug, Default)]
 pub struct MlLearner {
@@ -206,10 +175,6 @@ pub struct SolverConfig {
     /// [`ProgressSnapshot`] per CEGAR round into the reporter (see
     /// [`progress`]). `None` (the default) costs nothing.
     pub progress: Option<ProgressReporter>,
-    /// Cross-engine seeding bus for portfolio runs (see [`CrossSeed`]):
-    /// drained at every round boundary. `None` (the default) keeps the
-    /// solver fully deterministic.
-    pub seed_channel: Option<Arc<dyn CrossSeed>>,
     /// Warm-start state captured from a previous solve of a
     /// structurally similar system (see [`SolveSnapshot`]): negative
     /// samples and seed directions are imported up front. `None` (the
@@ -237,7 +202,6 @@ impl SolverConfig {
             seeding: seeding_from_env(),
             seed_atoms: Vec::new(),
             progress: None,
-            seed_channel: None,
             warm_start: None,
         }
     }
@@ -270,13 +234,6 @@ impl SolverConfig {
         self
     }
 
-    /// Attaches a cross-engine seeding bus (see
-    /// [`SolverConfig::seed_channel`]).
-    pub fn with_seed_channel(mut self, channel: Arc<dyn CrossSeed>) -> SolverConfig {
-        self.seed_channel = Some(channel);
-        self
-    }
-
     /// Attaches warm-start state from a previous solve (see
     /// [`SolverConfig::warm_start`]).
     pub fn with_warm_start(mut self, snapshot: Arc<SolveSnapshot>) -> SolverConfig {
@@ -295,14 +252,13 @@ impl fmt::Debug for SolverConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "SolverConfig {{ learner: {}, max_iterations: {}, oracle: {:?}, seeding: {}, seed_atoms: {}, progress: {}, seed_channel: {}, warm_start: {} }}",
+            "SolverConfig {{ learner: {}, max_iterations: {}, oracle: {:?}, seeding: {}, seed_atoms: {}, progress: {}, warm_start: {} }}",
             self.learner.name(),
             self.max_iterations,
             self.oracle,
             self.seeding,
             self.seed_atoms.len(),
             self.progress.is_some(),
-            self.seed_channel.is_some(),
             self.warm_start.is_some()
         )
     }
@@ -465,13 +421,6 @@ pub struct SolveStats {
     /// Always 0: every learner invocation runs the learner. Kept only
     /// for readers that still sum it; not exported.
     pub learn_memo_hits: usize,
-    /// Seed atoms accepted from the cross-engine bus (0 without a
-    /// [`CrossSeed`] channel; portfolio runs only, so inherently
-    /// timing-dependent).
-    pub cross_seed_atoms: usize,
-    /// Negative samples accepted from the cross-engine bus (0 without
-    /// a channel; timing-dependent likewise).
-    pub cross_seed_negatives: usize,
     /// Negative samples imported from a warm-start snapshot (0 without
     /// [`SolverConfig::warm_start`]).
     pub warm_negatives: usize,
@@ -497,8 +446,6 @@ impl SolveStats {
         report.set_counter("core.learned_db_size", self.learned_db_size as u64);
         report.set_counter("core.seeded_atoms", self.seeded_atoms as u64);
         report.set_counter("core.seed_hits", self.seed_hits);
-        report.set_counter("core.cross_seed_atoms", self.cross_seed_atoms as u64);
-        report.set_counter("core.cross_seed_negatives", self.cross_seed_negatives as u64);
         report.set_counter("core.warm_negatives", self.warm_negatives as u64);
         report.set_counter("core.warm_seed_dirs", self.warm_seed_dirs as u64);
     }
@@ -896,7 +843,7 @@ impl<'a> CegarSolver<'a> {
         // preference (consumers of a weakened head before the clause
         // that weakened it) — and refines each frontier clause until
         // it is valid. Round boundaries are where progress snapshots
-        // are emitted and the cross-engine seed bus is drained.
+        // are emitted.
         let mut dirty: VecDeque<ClauseId> =
             self.sys.clauses().iter().map(|c| c.id).collect();
         let mut dirty_set: HashSet<ClauseId> = dirty.iter().copied().collect();
@@ -908,11 +855,6 @@ impl<'a> CegarSolver<'a> {
             if budget.exhausted() {
                 self.finalize_stats();
                 return SolveResult::Unknown(UnknownReason::Timeout);
-            }
-            // Round boundary: absorb whatever the racing engines have
-            // published since the last round (portfolio runs only).
-            if let Some(chan) = self.config.seed_channel.clone() {
-                self.drain_seed_channel(&*chan);
             }
             self.round += 1;
             if self.config.progress.is_some() {
@@ -949,7 +891,14 @@ impl<'a> CegarSolver<'a> {
                         SmtResult::Unsat => break, // clause valid
                         SmtResult::Unknown => {
                             self.finalize_stats();
-                            return SolveResult::Unknown(UnknownReason::SmtUnknown);
+                            // A check cut short by the deadline or a
+                            // cancel is a timeout, not an oracle give-up.
+                            let reason = if budget.exhausted() {
+                                UnknownReason::Timeout
+                            } else {
+                                UnknownReason::SmtUnknown
+                            };
+                            return SolveResult::Unknown(reason);
                         }
                         SmtResult::Sat(m) => m,
                     };
@@ -986,33 +935,6 @@ impl<'a> CegarSolver<'a> {
         // Every clause validated.
         self.finalize_stats();
         SolveResult::Sat(self.interp.clone())
-    }
-
-    /// Absorbs cross-engine seeds published on the bus: atoms join the
-    /// seed store (when seeding is on — the same `LINARB_NO_SEED` kill
-    /// switch governs both seed sources), negatives join the sample
-    /// stores unless the state was already derived positive (then the
-    /// system is unsat and the contradiction is better surfaced by a
-    /// derivation than by poisoning the learner input).
-    fn drain_seed_channel(&mut self, chan: &dyn CrossSeed) {
-        if self.config.seeding {
-            for (p, atom) in chan.take_atoms() {
-                if let Some(pred) = self.sys.preds().iter().find(|q| q.id == p) {
-                    if self.seeds.add_atom(p, &atom, &pred.params) {
-                        self.stats.cross_seed_atoms += 1;
-                    }
-                }
-            }
-        }
-        for (p, sample) in chan.take_negatives() {
-            let Some(ds) = self.data.get_mut(&p) else { continue };
-            if sample.len() != ds.dim() || ds.contains_positive(&sample) {
-                continue;
-            }
-            if ds.add_negative(sample) {
-                self.stats.cross_seed_negatives += 1;
-            }
-        }
     }
 
     /// Assembles the per-round [`ProgressSnapshot`] (round barrier

@@ -523,7 +523,7 @@ impl ServeCore {
                 (result, snapshot, detail)
             }
             Some(kind) => {
-                let verdict = run_engine(kind, sys, budget, None, self.cfg.bmc_max_depth);
+                let verdict = run_engine(kind, sys, budget, self.cfg.bmc_max_depth);
                 match verdict {
                     EngineVerdict::Sat(Certificate::Invariant(interp)) => {
                         (SolveResult::Sat(interp), None, String::new())

@@ -26,17 +26,19 @@ options:
   --stats                         print the end-of-run metrics report
                                   (counters, histograms, span timers) as
                                   JSON on stdout
-  --engine <name>                 `portfolio` races cegar, pie, dig,
-                                  spacer, bmc, and duality under one
-                                  shared budget (first checkable
-                                  certificate wins; --threads sets the
-                                  race width); any single engine name
-                                  runs just that engine with its
-                                  certificate checked. Omit the flag
-                                  for the classic CEGAR path
+  --engine <name>                 `portfolio` races cegar, spacer, bmc,
+                                  duality, pie and dig, started in that
+                                  order, under one shared budget (first
+                                  checkable certificate wins); any
+                                  single engine name runs just that
+                                  engine with its certificate checked.
+                                  Omit the flag for the classic CEGAR
+                                  path
   --oracle <incremental|fresh>    SMT oracle mode (default incremental)
   --threads <n>                   portfolio race width (default 1; env
-                                  LINARB_THREADS); needs --engine, since
+                                  LINARB_THREADS): 1 time-slices the
+                                  engines in start order, 2 runs cegar
+                                  beside spacer. Needs --engine, since
                                   the CEGAR loop is sequential
   --no-dt                         disable decision-tree generalization
   --profile                       aggregate the span tree into a
