@@ -29,7 +29,7 @@ pub enum Engine {
     UAutomizer,
     /// The portfolio driver racing all of the above (plus BMC); first
     /// checkable certificate wins. Race width comes from
-    /// `LINARB_THREADS` (default 1 = sequential time slicing).
+    /// `LINARB_THREADS` (default 2; at least 2 engines race).
     Portfolio,
 }
 
@@ -102,7 +102,7 @@ impl RunOutcome {
 /// default engine set.
 pub fn run_engine(engine: Engine, bench: &Benchmark, timeout: Duration) -> RunOutcome {
     let budget = Budget::timeout(timeout);
-    let pconfig = PortfolioConfig::from_env();
+    let pconfig = PortfolioConfig::from_env().expect("LINARB_PORTFOLIO_FORCE");
     let start = Instant::now();
     let verdict = match engine.kind() {
         Some(kind) => match linarb_portfolio::run_engine(
@@ -116,8 +116,8 @@ pub fn run_engine(engine: Engine, bench: &Benchmark, timeout: Duration) -> RunOu
             EngineVerdict::Unknown(_) => Verdict::Unknown,
         },
         None => {
-            let pconfig = pconfig.with_threads(env_or("LINARB_THREADS", 1usize));
-            match solve_portfolio(&bench.system, &pconfig, &budget).verdict {
+            let threads = env_or("LINARB_THREADS", pconfig.threads);
+            match solve_portfolio(&bench.system, &pconfig.with_threads(threads), &budget).verdict {
                 EngineVerdict::Sat(_) => Verdict::Safe,
                 EngineVerdict::Unsat(_) => Verdict::Unsafe,
                 EngineVerdict::Unknown(_) => Verdict::Unknown,

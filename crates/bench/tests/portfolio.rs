@@ -128,15 +128,29 @@ fn forced_winner_is_deterministic() {
     assert_eq!(b.reports.len(), 1);
 }
 
-/// `LINARB_PORTFOLIO_FORCE` reaches the config through `from_env`.
+/// `LINARB_PORTFOLIO_FORCE` reaches the config through `from_env`,
+/// and a name that does not parse is an error, not the full race.
 /// (Set/unset inside one test to keep the process env race-free.)
 #[test]
 fn force_env_parses() {
     std::env::set_var("LINARB_PORTFOLIO_FORCE", "spacer");
     let config = PortfolioConfig::from_env();
+    std::env::set_var("LINARB_PORTFOLIO_FORCE", "spacr");
+    let typo = PortfolioConfig::from_env();
     std::env::remove_var("LINARB_PORTFOLIO_FORCE");
-    assert_eq!(config.force, Some(EngineKind::Spacer));
-    assert_eq!(PortfolioConfig::from_env().force, None);
+    assert_eq!(
+        config.expect("spacer parses").force,
+        Some(EngineKind::Spacer)
+    );
+    let err = typo.expect_err("a misspelt engine must not run the race");
+    assert!(
+        err.contains("LINARB_PORTFOLIO_FORCE") && err.contains("spacr"),
+        "{err}"
+    );
+    assert_eq!(
+        PortfolioConfig::from_env().expect("unset parses").force,
+        None
+    );
 }
 
 /// The tentpole claim: at the same budget, the racing portfolio solves
@@ -172,37 +186,44 @@ fn portfolio_beats_lone_cegar_on_harder_tier() {
 /// Engines start one per solver family first, so at race width 2
 /// spacer runs beside cegar. It proves the wide-constant loops of
 /// `harder_tier(1)`, where the CEGAR learners, which filled both
-/// workers before, ran into the budget. The width is fixed here,
-/// not read from `LINARB_THREADS`.
+/// workers before, ran into the budget. The widths are fixed here,
+/// not read from `LINARB_THREADS`: the default config, width 1
+/// (clamped to 2) and an explicit width 2.
 #[test]
-fn width_two_race_solves_hard_wide_systems() {
-    let config = PortfolioConfig::default().with_threads(2);
+fn two_engine_races_solve_hard_wide_systems() {
+    let configs = [
+        PortfolioConfig::default(),
+        PortfolioConfig::default().with_threads(1),
+        PortfolioConfig::default().with_threads(2),
+    ];
     let wide: Vec<Benchmark> = harder_tier(1)
         .into_iter()
         .filter(|b| b.name.starts_with("hard_wide_"))
         .collect();
     assert!(!wide.is_empty(), "harder_tier(1) has no hard_wide systems");
-    for bench in wide {
-        let out = solve_portfolio(&bench.system, &config, &Budget::timeout(Duration::from_secs(2)));
-        assert!(out.verdict.is_sat(), "{}: {:?}", bench.name, out.verdict);
-        assert!(
-            check_certificate(&bench.system, &out.verdict, &Budget::unlimited()),
-            "{}: invariant fails the independent check",
-            bench.name
-        );
-        assert!(
-            matches!(
-                out.winner,
-                Some(
-                    EngineKind::Spacer
-                        | EngineKind::Gpdr
-                        | EngineKind::Duality
-                        | EngineKind::UAutomizer
-                )
-            ),
-            "{}: won by {:?}, not a PDR or interpolation engine",
-            bench.name,
-            out.winner
-        );
+    for config in &configs {
+        for bench in &wide {
+            let budget = Budget::timeout(Duration::from_secs(2));
+            let out = solve_portfolio(&bench.system, config, &budget);
+            let at = format!("{} at width {}", bench.name, config.threads);
+            assert!(out.verdict.is_sat(), "{at}: {:?}", out.verdict);
+            assert!(
+                check_certificate(&bench.system, &out.verdict, &Budget::unlimited()),
+                "{at}: invariant fails the independent check"
+            );
+            assert!(
+                matches!(
+                    out.winner,
+                    Some(
+                        EngineKind::Spacer
+                            | EngineKind::Gpdr
+                            | EngineKind::Duality
+                            | EngineKind::UAutomizer
+                    )
+                ),
+                "{at}: won by {:?}, not a PDR or interpolation engine",
+                out.winner
+            );
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! racing a diverse set under one budget. This crate races the
 //! data-driven CEGAR solver (the paper's tool) against the baseline
 //! engines from `linarb-baselines` — PDR/Spacer, BMC, unwinding
-//! interpolation, and the PIE-/DIG-learner CEGAR variants — on
-//! `linarb-pool` workers.
+//! interpolation, and the PIE-/DIG-learner CEGAR variants — on scoped
+//! threads ([`parallel_map`]).
 //!
 //! Three design decisions:
 //!
@@ -15,7 +15,7 @@
 //!   the same [`Budget`] carrying one [`CancelToken`]; the first
 //!   engine to produce a *certified* verdict flips the token and every
 //!   loser winds down at its next poll site (the same sites that
-//!   observe deadlines and conflict pools).
+//!   observe deadlines).
 //! * **First checkable certificate, not first verdict.** An engine
 //!   wins only if its answer survives an independent check: a SAT
 //!   interpretation is verified clause-by-clause
@@ -31,11 +31,11 @@
 //!   the default race at width 2 runs cegar against spacer, and pie
 //!   starts only once one of them gives up.
 //!
-//! With one worker the driver degrades to deterministic round-robin
-//! time slicing in start order (doubling slices, engines re-run from
-//! scratch), which also powers `examples/solver_comparison.rs`.
-//! Setting `LINARB_PORTFOLIO_FORCE=<engine>` runs exactly one engine —
-//! the deterministic mode CI uses.
+//! The race always runs at least two engines at once, even on one
+//! core: the OS interleaves them and neither restarts. Which engine
+//! wins then depends on timing; the verdict does not, because it is
+//! certified. Setting `LINARB_PORTFOLIO_FORCE=<engine>` runs exactly
+//! one engine — the deterministic mode CI uses.
 
 use linarb_logic::{ChcSystem, Interpretation};
 use linarb_ml::LearnConfig;
@@ -47,14 +47,12 @@ use linarb_baselines::{
     bmc, BmcResult, DigLearner, InterpConfig, InterpMode, InterpResult, PdrConfig, PdrResult,
     PdrSolver, PieLearner, UnwindInterp,
 };
-use linarb_pool::Pool;
 use linarb_trace::{event, Level};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread;
 use std::time::{Duration, Instant};
-
-/// First slice width of the sequential (1-thread) mode.
-const INITIAL_SLICE: Duration = Duration::from_millis(200);
 
 /// The engines the portfolio can race or run singly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -168,7 +166,7 @@ enum Family {
     Interpolation,
 }
 
-/// The order both schedulers start `engines` in, as indices into it:
+/// The order the race starts `engines` in, as indices into it:
 /// the first engine of each [`Family`] in list order, then the rest in
 /// list order.
 fn start_order(engines: &[EngineKind]) -> Vec<usize> {
@@ -299,8 +297,8 @@ pub struct PortfolioConfig {
     /// Engines to race (default: [`EngineKind::race`]); they start in
     /// start order (see the crate docs).
     pub engines: Vec<EngineKind>,
-    /// Pool width. With 1, engines round-robin on doubling time
-    /// slices instead of racing concurrently.
+    /// Race width: engines running at once. [`solve_portfolio`] runs
+    /// at least 2 and at most one per engine.
     pub threads: usize,
     /// Run exactly this engine (deterministic CI mode); set from
     /// `LINARB_PORTFOLIO_FORCE` by [`PortfolioConfig::from_env`].
@@ -313,7 +311,7 @@ impl Default for PortfolioConfig {
     fn default() -> Self {
         PortfolioConfig {
             engines: EngineKind::race(),
-            threads: 1,
+            threads: 2,
             force: None,
             bmc_max_depth: 256,
         }
@@ -321,18 +319,22 @@ impl Default for PortfolioConfig {
 }
 
 impl PortfolioConfig {
-    /// Default config with `LINARB_PORTFOLIO_FORCE` honoured.
-    pub fn from_env() -> PortfolioConfig {
+    /// Default config with `LINARB_PORTFOLIO_FORCE` honoured. An
+    /// engine name that does not parse is an error naming the variable
+    /// and the value, never a silent fall-back to the full race.
+    pub fn from_env() -> Result<PortfolioConfig, String> {
         let mut c = PortfolioConfig::default();
         if let Ok(name) = std::env::var("LINARB_PORTFOLIO_FORCE") {
-            c.force = EngineKind::parse(&name);
+            let kind = EngineKind::parse(&name)
+                .ok_or_else(|| format!("LINARB_PORTFOLIO_FORCE: unknown engine `{name}`"))?;
+            c.force = Some(kind);
         }
-        c
+        Ok(c)
     }
 
-    /// Builder: pool width.
+    /// Builder: race width.
     pub fn with_threads(mut self, threads: usize) -> PortfolioConfig {
-        self.threads = threads.max(1);
+        self.threads = threads;
         self
     }
 }
@@ -344,8 +346,7 @@ pub struct EngineReport {
     pub engine: EngineKind,
     /// Final verdict label (`sat`/`unsat`/`unknown`/`skipped`).
     pub outcome: &'static str,
-    /// Wall-clock spent in this engine (cumulative over slices in
-    /// sequential mode).
+    /// Wall-clock spent in this engine.
     pub time: Duration,
     /// `Some(result)` if a certificate check ran.
     pub certified: Option<bool>,
@@ -516,9 +517,6 @@ pub fn solve_portfolio(
     if let Some(kind) = config.force {
         return run_forced(kind, sys, config, budget, start);
     }
-    if config.threads <= 1 {
-        return run_sliced(sys, config, budget, start);
-    }
     run_racing(sys, config, budget, start)
 }
 
@@ -588,9 +586,9 @@ fn run_forced(
     finish(final_verdict, won.then_some(kind), vec![report], start)
 }
 
-/// Concurrent race on the pool: each worker takes the next engine in
-/// start order and runs it once under the shared cancellable budget;
-/// the first certified verdict cancels the rest, and engines not yet
+/// The race: `config.threads.max(2)` workers take engines in start
+/// order and run each once under the shared cancellable budget; the
+/// first certified verdict cancels the rest, and engines not yet
 /// started when it lands or when the budget runs out stay `skipped`.
 fn run_racing(
     sys: &ChcSystem,
@@ -602,8 +600,6 @@ fn run_racing(
     let shared = budget.clone().with_cancel_token(token.clone());
     let winner = WinnerSlot { slot: Mutex::new(None), token };
     let order = start_order(&config.engines);
-    let next = AtomicUsize::new(0);
-    let workers = config.threads.min(order.len());
 
     let race_one = |kind: EngineKind| {
         let t0 = Instant::now();
@@ -637,17 +633,14 @@ fn run_racing(
         );
         report
     };
-    let ran = Pool::new(workers).parallel_map((0..workers).collect(), |_| {
-        let mut ran = Vec::new();
-        while !shared.exhausted() {
-            let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) else { break };
-            ran.push((i, race_one(config.engines[i])));
-        }
-        ran
+    let ran = parallel_map(config.threads.max(2), order.clone(), |i| {
+        (!shared.exhausted()).then(|| race_one(config.engines[i]))
     });
     let mut reports = skipped_reports(&config.engines);
-    for (i, report) in ran.into_iter().flatten() {
-        reports[i] = report;
+    for (i, report) in order.into_iter().zip(ran) {
+        if let Some(report) = report {
+            reports[i] = report;
+        }
     }
 
     let (win_kind, win_verdict) = match winner.slot.into_inner().unwrap() {
@@ -660,62 +653,57 @@ fn run_racing(
     finish(win_verdict, win_kind, reports, start)
 }
 
-/// Sequential fallback (1 worker): deterministic round-robin over the
-/// engines in start order on doubling time slices. Engines are
-/// stateless across slices (each slice re-runs from scratch), so an
-/// engine that answers `Unknown` *before* its slice runs out is dropped
-/// for good: re-running a deterministic engine on the same input cannot
-/// change its answer.
-fn run_sliced(
-    sys: &ChcSystem,
-    config: &PortfolioConfig,
-    budget: &Budget,
-    start: Instant,
-) -> PortfolioOutcome {
-    let mut reports = skipped_reports(&config.engines);
-    let mut live = start_order(&config.engines);
-    let mut slice = INITIAL_SLICE;
-    let max_slice = Duration::from_secs(60);
-
-    // An unlimited budget keeps slicing while any engine used its whole
-    // slice: it may yet answer with more time.
-    while !budget.exhausted() && !live.is_empty() {
-        let mut kept = Vec::with_capacity(live.len());
-        for i in live {
-            if budget.exhausted() {
-                break;
-            }
-            let kind = config.engines[i];
-            let this_slice = match budget.remaining() {
-                Some(rem) => slice.min(rem),
-                None => slice,
-            };
-            let slice_budget = Budget::timeout(this_slice);
-            let t0 = Instant::now();
-            let verdict = run_engine(kind, sys, &slice_budget, config.bmc_max_depth);
-            reports[i].time += t0.elapsed();
-            reports[i].outcome = verdict.label();
-            if verdict.is_definite() {
-                let ok = check_certificate(sys, &verdict, budget);
-                reports[i].certified = Some(ok);
-                if ok {
-                    reports[i].winner = true;
-                    return finish(verdict, Some(kind), reports, start);
-                }
-            }
-            if slice_budget.exhausted() {
-                kept.push(i);
-            }
-        }
-        live = kept;
-        slice = (slice * 2).min(max_slice);
+/// Applies `f` to every item on up to `width` threads and returns the
+/// results in input order. The caller works beside `width.min(n) - 1`
+/// scoped helpers, and one shared cursor hands items out in index
+/// order. Width ≤ 1, or at most one item, runs inline on the caller.
+/// If `f` panics, the first panic payload is re-raised once every
+/// worker has joined.
+pub fn parallel_map<T, U, F>(width: usize, items: Vec<T>, f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(T) -> U + Sync,
+{
+    let n = items.len();
+    let workers = width.min(n);
+    if workers <= 1 {
+        return items.into_iter().map(f).collect();
     }
-    finish(
-        EngineVerdict::Unknown("no engine produced a certified verdict".to_string()),
-        None,
-        reports,
-        start,
-    )
+    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    // The cursor only hands out indices; each slot's mutex publishes
+    // its item and result, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    const UNPOISONED: &str = "no slot lock is held across a call to `f`";
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = items.get(i) else { break };
+        let item = slot
+            .lock()
+            .expect(UNPOISONED)
+            .take()
+            .expect("each item is handed out once");
+        let u = f(item);
+        *results[i].lock().expect(UNPOISONED) = Some(u);
+    };
+    let first_panic = thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mut joined = vec![catch_unwind(AssertUnwindSafe(work))];
+        joined.extend(helpers.into_iter().map(|h| h.join()));
+        joined.into_iter().find_map(Result::err)
+    });
+    if let Some(payload) = first_panic {
+        resume_unwind(payload);
+    }
+    results
+        .into_iter()
+        .map(|r| {
+            r.into_inner()
+                .expect(UNPOISONED)
+                .expect("every item was mapped")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -772,33 +760,23 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_solves_both_polarities_sequential() {
-        let config = PortfolioConfig::default();
-        let budget = Budget::timeout(Duration::from_secs(60));
-        let sys = parse_chc(SAFE).unwrap();
-        let out = solve_portfolio(&sys, &config, &budget);
-        assert!(out.verdict.is_sat(), "{out:?}");
-        assert!(out.winner.is_some());
-        let bad = parse_chc(&unsafe_text()).unwrap();
-        let out = solve_portfolio(&bad, &config, &budget);
-        assert!(out.verdict.is_unsat(), "{out:?}");
-    }
-
-    #[test]
-    fn portfolio_solves_both_polarities_racing() {
-        let config = PortfolioConfig::default().with_threads(3);
-        let budget = Budget::timeout(Duration::from_secs(60));
-        let sys = parse_chc(SAFE).unwrap();
-        let out = solve_portfolio(&sys, &config, &budget);
-        assert!(out.verdict.is_sat(), "{out:?}");
-        let win = out.winner.expect("racing winner");
-        assert!(
-            out.reports.iter().any(|r| r.engine == win && r.winner),
-            "winner row must be marked"
-        );
-        let bad = parse_chc(&unsafe_text()).unwrap();
-        let out = solve_portfolio(&bad, &config, &budget);
-        assert!(out.verdict.is_unsat(), "{out:?}");
+    fn portfolio_solves_both_polarities() {
+        // Width 1 is clamped to a two-engine race.
+        for width in [1, 3] {
+            let config = PortfolioConfig::default().with_threads(width);
+            let budget = Budget::timeout(Duration::from_secs(60));
+            let sys = parse_chc(SAFE).unwrap();
+            let out = solve_portfolio(&sys, &config, &budget);
+            assert!(out.verdict.is_sat(), "width {width}: {out:?}");
+            let win = out.winner.expect("racing winner");
+            assert!(
+                out.reports.iter().any(|r| r.engine == win && r.winner),
+                "width {width}: winner row must be marked"
+            );
+            let bad = parse_chc(&unsafe_text()).unwrap();
+            let out = solve_portfolio(&bad, &config, &budget);
+            assert!(out.verdict.is_unsat(), "width {width}: {out:?}");
+        }
     }
 
     #[test]
@@ -833,5 +811,59 @@ mod tests {
             );
             assert!(!v.is_definite(), "{kind} answered under cancellation: {v:?}");
         }
+    }
+
+    #[test]
+    fn parallel_map_preserves_input_order() {
+        let items: Vec<u64> = (0..257).collect();
+        let out = parallel_map(4, items, |x| x * 2 + 1);
+        assert_eq!(out, (0..257).map(|x| x * 2 + 1).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn parallel_map_width_zero_and_one_run_inline() {
+        let caller = thread::current().id();
+        for width in [0, 1] {
+            let out = parallel_map(width, vec![1, 2, 3], |x| (x + 10, thread::current().id()));
+            assert_eq!(
+                out,
+                [(11, caller), (12, caller), (13, caller)],
+                "width {width}"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_map_borrows_caller_data() {
+        let data = vec![String::from("a"), String::from("bb")];
+        let lens = parallel_map(2, vec![0usize, 1], |i| data[i].len());
+        assert_eq!(lens, vec![1, 2]);
+        drop(data);
+    }
+
+    #[test]
+    fn parallel_map_reraises_the_original_panic_after_joining() {
+        // Every even item panics, so the caller and the helper both
+        // die; item 1 is slow and must finish before the re-raise.
+        let slow_done = std::sync::atomic::AtomicBool::new(false);
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            parallel_map(2, (0..16).collect::<Vec<u32>>(), |i| {
+                if i % 2 == 0 {
+                    panic!("even task exploded");
+                }
+                if i == 1 {
+                    thread::sleep(Duration::from_millis(50));
+                    slow_done.store(true, Ordering::Relaxed);
+                }
+                i
+            })
+        }));
+        let payload = r.expect_err("panic should propagate to the caller");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
+        assert_eq!(msg, "even task exploded");
+        assert!(
+            slow_done.load(Ordering::Relaxed),
+            "re-raised before every worker joined"
+        );
     }
 }

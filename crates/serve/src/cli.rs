@@ -18,7 +18,7 @@ usage: linarb serve [options]
 options:
   --addr <unix:PATH|tcp:HOST:PORT>  listen address
                                     (default unix:/tmp/linarb-serve.sock)
-  --threads <n>                     batch pool width (default
+  --threads <n>                     jobs of a batch solved at once (default
                                     LINARB_THREADS or the machine)
   --timeout-ms <n>                  per-job budget (default 30000)
   --engine <name>                   solve with a single portfolio

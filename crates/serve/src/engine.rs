@@ -1,15 +1,16 @@
 //! Batch scheduling and solving behind the cache (DESIGN.md §15).
 //!
 //! [`ServeCore`] is the daemon's heart, usable with or without a
-//! socket: jobs are sharded across a [`linarb_pool::Pool`], each
-//! worker runs parse → canonicalize → cache probe → solve-or-verify,
+//! socket: jobs are spread over scoped threads
+//! ([`linarb_portfolio::parallel_map`]), each worker runs parse →
+//! canonicalize → cache probe → solve-or-verify,
 //! and newly solved entries are inserted *after* the batch in batch
 //! order, so cache contents are a deterministic function of the
 //! submission sequence (never of worker timing).
 //!
 //! The parallelism budget is spent across jobs: each solve is the
 //! sequential CEGAR loop, so per-job trajectories are identical at
-//! every pool width.
+//! every batch width.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -17,8 +18,7 @@ use std::time::{Duration, Instant};
 
 use linarb_frontend::{canonicalize, Canon};
 use linarb_logic::{parse_chc, Atom, ChcSystem, PredId, Var};
-use linarb_pool::Pool;
-use linarb_portfolio::{run_engine, Certificate, EngineKind, EngineVerdict};
+use linarb_portfolio::{parallel_map, run_engine, Certificate, EngineKind, EngineVerdict};
 use linarb_smt::Budget;
 use linarb_solver::{
     verify_interpretation, CegarSolver, OracleMode, SolveResult, SolveSnapshot, SolverConfig,
@@ -31,7 +31,7 @@ use crate::proto::JobSpec;
 /// Configuration of a [`ServeCore`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Pool width for batch sharding (jobs in flight at once).
+    /// Batch width: jobs in flight at once.
     pub threads: usize,
     /// Per-job wall-clock budget.
     pub timeout: Duration,
@@ -231,20 +231,18 @@ impl ServeStats {
     }
 }
 
-/// The resident solver: pool, cache, counters.
+/// The resident solver: configuration, cache, counters.
 pub struct ServeCore {
     cfg: ServeConfig,
-    pool: Pool,
     cache: Mutex<InvariantCache>,
     stats: Mutex<ServeStats>,
 }
 
 impl ServeCore {
-    /// Builds a core with its worker pool.
+    /// Builds a core with an empty cache.
     pub fn new(cfg: ServeConfig) -> ServeCore {
-        let pool = Pool::new(cfg.threads);
         let cache = Mutex::new(InvariantCache::new(cfg.cache_cap));
-        ServeCore { cfg, pool, cache, stats: Mutex::new(ServeStats::default()) }
+        ServeCore { cfg, cache, stats: Mutex::new(ServeStats::default()) }
     }
 
     /// The active configuration.
@@ -275,10 +273,11 @@ impl ServeCore {
     ///
     /// Results come back in submission order, and cache contents are a
     /// function of the submission sequence alone — never of worker
-    /// timing or pool width.
+    /// timing or batch width.
     pub fn submit_batch(&self, jobs: Vec<JobInput>) -> Vec<JobOutcome> {
         let n = jobs.len();
-        let prepared = self.pool.parallel_map(jobs, |job| self.prepare(job));
+        let width = self.cfg.threads;
+        let prepared = parallel_map(width, jobs, |job| self.prepare(job));
 
         let mut slots: Vec<Option<JobOutcome>> = (0..n).map(|_| None).collect();
         let mut leaders: Vec<(usize, Prepared)> = Vec::new();
@@ -309,11 +308,9 @@ impl ServeCore {
             }
         }
 
-        let solved =
-            self.pool.parallel_map(leaders, |(idx, p)| (idx, self.solve_prepared(p)));
+        let solved = parallel_map(width, leaders, |(idx, p)| (idx, self.solve_prepared(p)));
         self.settle(solved, &mut slots);
-        let solved =
-            self.pool.parallel_map(followers, |(idx, p)| (idx, self.solve_prepared(p)));
+        let solved = parallel_map(width, followers, |(idx, p)| (idx, self.solve_prepared(p)));
         self.settle(solved, &mut slots);
 
         slots.into_iter().map(|s| s.expect("every slot filled")).collect()

@@ -27,7 +27,7 @@
 //!
 //! The daemon ([`server`]) speaks length-prefixed JSON frames
 //! ([`linarb_trace::frame`]) over a Unix or TCP socket; batches are
-//! sharded across a [`linarb_pool::Pool`] by [`engine::ServeCore`],
+//! spread over scoped threads by [`engine::ServeCore`],
 //! which is also usable in-process (the repository benchmark and the
 //! tests drive it without a socket). [`replay::variant`] generates
 //! deterministic mutated variants of a base system — renamed,

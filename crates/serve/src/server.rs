@@ -2,7 +2,7 @@
 //! one frame out (DESIGN.md §15).
 //!
 //! Connections are handled sequentially — the parallelism lives
-//! *inside* a batch (jobs sharded across the pool), not across
+//! *inside* a batch (jobs spread over scoped threads), not across
 //! connections, which keeps cache insertion order, and therefore the
 //! daemon's entire observable behavior, a deterministic function of
 //! the submission sequence. A `shutdown` request ends the accept loop

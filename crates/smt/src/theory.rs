@@ -133,8 +133,9 @@ impl TheoryLia {
         self.simplex.restore_pivots(pivots);
     }
 
-    /// Number of interned slack rows. Pool owners use this to decide
-    /// when an accreting context is worth rebuilding from scratch.
+    /// Number of interned slack rows. Owners of a pooled context use
+    /// this to decide when an accreting context is worth rebuilding
+    /// from scratch.
     pub fn num_slacks(&self) -> usize {
         self.slacks.len()
     }

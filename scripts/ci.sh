@@ -52,20 +52,20 @@ echo "== portfolio differential gate (1 and 4 threads) =="
 # derivations replayed), forced-winner mode must be deterministic, and
 # the harder tier must contain instances lone CEGAR times out on but
 # the portfolio solves. LINARB_THREADS picks the race width inside the
-# driver: 1 slices the engines in start order (one engine per solver
-# family first), 4 starts cegar, spacer, bmc and duality together
-# under one cancellable budget. The width-2 hard_wide regression pins
-# its own width. Repeated here by name so a filtered CI invocation
-# cannot skip it silently.
+# driver, which races at least two engines: 1 is clamped to 2 (cegar
+# beside spacer, one engine per solver family first), 4 starts cegar,
+# spacer, bmc and duality together under one cancellable budget. The
+# hard_wide regression pins its own widths. Repeated here by name so a
+# filtered CI invocation cannot skip it silently.
 LINARB_THREADS=1 cargo test -q --offline -p linarb-bench --test portfolio
 LINARB_THREADS=4 cargo test -q --offline -p linarb-bench --test portfolio
 
 echo "== portfolio CLI smoke =="
 # End-to-end through the binary: `--engine portfolio` must solve fig1
-# at every race width, including 2 (the benchmark's and a 2-core
-# host's), and the LINARB_PORTFOLIO_FORCE override must pin the winner
-# (cegar solves fig1; the paper reports Spacer diverging on it, which
-# is exactly why the forced engine is cegar).
+# at every race width (1 is clamped to 2, the benchmark's and a 2-core
+# host's width), and the LINARB_PORTFOLIO_FORCE override must pin the
+# winner (cegar solves fig1; the paper reports Spacer diverging on it,
+# which is exactly why the forced engine is cegar).
 for t in 1 2 4; do
     out="$(cargo run --release --offline -p linarb --bin linarb -- \
         --engine portfolio --threads "$t" --timeout-ms 60000 examples/fig1.smt2)"

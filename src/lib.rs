@@ -52,7 +52,6 @@ pub use linarb_baselines as baselines;
 pub use linarb_frontend as frontend;
 pub use linarb_logic as logic;
 pub use linarb_ml as ml;
-pub use linarb_pool as pool;
 pub use linarb_portfolio as portfolio;
 pub use linarb_sat as sat;
 pub use linarb_serve as serve;

@@ -35,11 +35,12 @@ options:
                                   Omit the flag for the classic CEGAR
                                   path
   --oracle <incremental|fresh>    SMT oracle mode (default incremental)
-  --threads <n>                   portfolio race width (default 1; env
-                                  LINARB_THREADS): 1 time-slices the
-                                  engines in start order, 2 runs cegar
-                                  beside spacer. Needs --engine, since
-                                  the CEGAR loop is sequential
+  --threads <n>                   portfolio race width (default 2; env
+                                  LINARB_THREADS): engines running at
+                                  once, never fewer than 2, so 1 and 2
+                                  both run cegar beside spacer. Needs
+                                  --engine, since the CEGAR loop is
+                                  sequential
   --no-dt                         disable decision-tree generalization
   --profile                       aggregate the span tree into a
                                   hierarchical self-profile; print a
@@ -317,11 +318,19 @@ fn main() -> ExitCode {
     let mut race = None;
     match cli.engine {
         Some(sel) => {
-            let mut pconfig = PortfolioConfig::from_env();
-            pconfig.threads = cli
+            let mut pconfig = match PortfolioConfig::from_env() {
+                Ok(c) => c,
+                Err(e) => {
+                    eprintln!("linarb: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            if let Some(t) = cli
                 .threads
                 .or_else(|| std::env::var("LINARB_THREADS").ok()?.parse().ok())
-                .unwrap_or(1);
+            {
+                pconfig.threads = t;
+            }
             if let EngineSel::Single(kind) = sel {
                 // CLI selection beats LINARB_PORTFOLIO_FORCE.
                 pconfig.force = Some(kind);
