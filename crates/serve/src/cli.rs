@@ -28,8 +28,9 @@ options:
   --no-near                         disable the near-miss tier
   --cache-cap <n>                   max cache entries (default 4096)
 
-the daemon prints one `ready` line once listening and exits on a
-client `shutdown` request";
+the daemon prints one `ready on <addr>` line once listening, naming
+the address it bound (for tcp:HOST:0, the port the OS chose), and
+exits on a client `shutdown` request";
 
 const CLIENT_USAGE: &str = "\
 usage: linarb client [options] [file.smt2|file.c ...]

@@ -44,4 +44,4 @@ pub mod server;
 pub use cache::{CacheEntry, CachedVerdict, InvariantCache};
 pub use engine::{JobInput, JobOutcome, ServeConfig, ServeCore, ServeStats, Source};
 pub use proto::{parse_request, JobSpec, Request};
-pub use server::{parse_addr, serve, BindAddr};
+pub use server::{parse_addr, serve, BindAddr, Listener};

@@ -11,13 +11,22 @@
 //! {"op":"batch","jobs":[{...},{...}]}
 //! ```
 //!
-//! Every request gets exactly one response frame. Solve responses
-//! carry the verdict, which cache tier answered, whether the verdict
-//! was independently re-verified, and the wall time:
+//! Every request gets exactly one response frame. A `solve` or
+//! `batch` request is answered by one `batch` frame with a result per
+//! job, in submission order. Each result carries the verdict, which
+//! cache tier answered, whether the verdict was independently
+//! re-verified, and the job's wall time:
 //!
 //! ```json
-//! {"op":"solve","id":1,"name":"fig1","verdict":"sat","cache":"exact","verified":true,"wall_us":812}
+//! {"op":"batch","parse_us":41,"results":[
+//!   {"id":1,"name":"fig1","verdict":"sat","cache":"exact","verified":true,"wall_us":812}]}
 //! ```
+//!
+//! `parse_us` is the daemon's time to parse that request frame (JSON
+//! and job fields), in microseconds. It does not count reading the
+//! frame off the socket, and no job's `wall_us` includes it. So a slow
+//! reply's parse cost is read from the reply itself, not inferred as
+//! round trip minus `wall_us`.
 
 use linarb_trace::json::{self, Json};
 use linarb_trace::json_string;

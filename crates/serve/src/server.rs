@@ -13,6 +13,7 @@ use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
 
 use linarb_trace::frame::{read_frame, write_frame};
 
@@ -49,52 +50,96 @@ pub fn parse_addr(s: &str) -> Result<BindAddr, String> {
     }
 }
 
+impl std::fmt::Display for BindAddr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BindAddr::Unix(path) => write!(f, "unix:{}", path.display()),
+            BindAddr::Tcp(hostport) => write!(f, "tcp:{hostport}"),
+        }
+    }
+}
+
 enum Control {
     Continue,
     Shutdown,
 }
 
+enum Socket {
+    Unix(UnixListener),
+    Tcp(TcpListener),
+}
+
+/// A bound daemon socket, not yet accepting.
+pub struct Listener {
+    socket: Socket,
+    addr: BindAddr,
+}
+
+impl Listener {
+    /// Binds `addr`. A stale socket file from a dead daemon is removed
+    /// first, because it blocks a Unix bind.
+    ///
+    /// # Errors
+    ///
+    /// Socket bind failures.
+    pub fn bind(addr: &BindAddr) -> io::Result<Listener> {
+        let (socket, addr) = match addr {
+            BindAddr::Unix(path) => {
+                let _ = std::fs::remove_file(path);
+                (Socket::Unix(UnixListener::bind(path)?), addr.clone())
+            }
+            BindAddr::Tcp(hostport) => {
+                let listener = TcpListener::bind(hostport.as_str())?;
+                let bound = BindAddr::Tcp(listener.local_addr()?.to_string());
+                (Socket::Tcp(listener), bound)
+            }
+        };
+        Ok(Listener { socket, addr })
+    }
+
+    /// The address clients reach: for `tcp:HOST:0`, the port the OS
+    /// chose.
+    pub fn addr(&self) -> &BindAddr {
+        &self.addr
+    }
+
+    /// Accepts connections one at a time until a `shutdown` request,
+    /// then removes a Unix socket file. Per-connection I/O errors are
+    /// logged to stderr and end only that connection.
+    pub fn run(self, core: &ServeCore) {
+        match self.socket {
+            Socket::Unix(l) => accept_loop(l.incoming(), core),
+            Socket::Tcp(l) => accept_loop(l.incoming(), core),
+        }
+        if let BindAddr::Unix(path) = &self.addr {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
 /// Runs the daemon until a `shutdown` request arrives. Prints one
-/// `ready` line to stdout once listening (scripts wait on it).
+/// `ready` line with the bound address to stdout once listening
+/// (scripts wait on it).
 ///
 /// # Errors
 ///
-/// Socket bind failures. Per-connection I/O errors are logged to
-/// stderr and end only that connection.
+/// Socket bind failures.
 pub fn serve(addr: &BindAddr, core: Arc<ServeCore>) -> io::Result<()> {
-    match addr {
-        BindAddr::Unix(path) => {
-            // A stale socket file from a dead daemon blocks bind.
-            let _ = std::fs::remove_file(path);
-            let listener = UnixListener::bind(path)?;
-            println!("linarb-serve: ready on unix:{}", path.display());
-            for conn in listener.incoming() {
-                match conn {
-                    Ok(mut stream) => match handle_conn(&mut stream, &core) {
-                        Ok(Control::Shutdown) => break,
-                        Ok(Control::Continue) => {}
-                        Err(e) => eprintln!("linarb-serve: connection error: {e}"),
-                    },
-                    Err(e) => eprintln!("linarb-serve: accept error: {e}"),
-                }
-            }
-            let _ = std::fs::remove_file(path);
-            Ok(())
-        }
-        BindAddr::Tcp(hostport) => {
-            let listener = TcpListener::bind(hostport.as_str())?;
-            println!("linarb-serve: ready on tcp:{hostport}");
-            for conn in listener.incoming() {
-                match conn {
-                    Ok(mut stream) => match handle_conn(&mut stream, &core) {
-                        Ok(Control::Shutdown) => break,
-                        Ok(Control::Continue) => {}
-                        Err(e) => eprintln!("linarb-serve: connection error: {e}"),
-                    },
-                    Err(e) => eprintln!("linarb-serve: accept error: {e}"),
-                }
-            }
-            Ok(())
+    let listener = Listener::bind(addr)?;
+    println!("linarb-serve: ready on {}", listener.addr());
+    listener.run(&core);
+    Ok(())
+}
+
+fn accept_loop<S: Read + Write>(incoming: impl Iterator<Item = io::Result<S>>, core: &ServeCore) {
+    for conn in incoming {
+        match conn {
+            Ok(mut stream) => match handle_conn(&mut stream, core) {
+                Ok(Control::Shutdown) => break,
+                Ok(Control::Continue) => {}
+                Err(e) => eprintln!("linarb-serve: connection error: {e}"),
+            },
+            Err(e) => eprintln!("linarb-serve: accept error: {e}"),
         }
     }
 }
@@ -106,7 +151,10 @@ fn handle_conn<S: Read + Write>(stream: &mut S, core: &ServeCore) -> io::Result<
         let Some(text) = read_frame(stream)? else {
             return Ok(Control::Continue);
         };
-        match parse_request(&text) {
+        let t = Instant::now();
+        let request = parse_request(&text);
+        let parse_us = t.elapsed().as_micros();
+        match request {
             Err(msg) => write_frame(stream, &render_error(&msg))?,
             Ok(Request::Ping) => write_frame(stream, "{\"op\":\"ping\",\"ok\":true}")?,
             Ok(Request::Stats) => {
@@ -123,7 +171,10 @@ fn handle_conn<S: Read + Write>(stream: &mut S, core: &ServeCore) -> io::Result<
                 let body: Vec<String> = outcomes.iter().map(JobOutcome::render).collect();
                 write_frame(
                     stream,
-                    &format!("{{\"op\":\"batch\",\"results\":[{}]}}", body.join(",")),
+                    &format!(
+                        "{{\"op\":\"batch\",\"parse_us\":{parse_us},\"results\":[{}]}}",
+                        body.join(",")
+                    ),
                 )?;
             }
         }
@@ -141,5 +192,8 @@ mod tests {
         assert!(parse_addr("unix:").is_err());
         assert!(parse_addr("tcp:nohostport").is_err());
         assert!(parse_addr("/tmp/s.sock").is_err());
+        for s in ["unix:/tmp/s.sock", "tcp:127.0.0.1:0"] {
+            assert_eq!(parse_addr(s).unwrap().to_string(), s);
+        }
     }
 }

@@ -1,16 +1,21 @@
 //! End-to-end tests for the serve subsystem: cache tiers, verdict
-//! stability, the socket daemon, and a warm-vs-cold variant replay.
+//! stability, the socket daemon and its wire path, and a warm-vs-cold
+//! variant replay.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::io::Write;
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
+use std::time::{Duration, Instant};
 
 use linarb_serve::engine::{JobInput, ServeConfig, ServeCore, Source, Tier};
 use linarb_serve::client::Client;
 use linarb_serve::replay::variant;
-use linarb_serve::server::{serve, BindAddr};
+use linarb_serve::server::{BindAddr, Listener};
 use linarb_smt::Budget;
 use linarb_solver::{CegarSolver, SolveResult, SolverConfig};
 use linarb_suite::{even_odd, fibo_unsafe, fig1, Benchmark};
+use linarb_trace::frame::{read_frame, MAX_FRAME};
+use linarb_trace::json::{self, Json};
 
 fn test_config() -> ServeConfig {
     ServeConfig { threads: 2, timeout: Duration::from_secs(60), ..ServeConfig::default() }
@@ -103,27 +108,27 @@ fn batches_shard_across_the_pool_in_order() {
     assert_eq!(out[2].verdict, "sat");
 }
 
+/// Binds a daemon at `addr` and runs it on its own thread; returns
+/// the address clients reach (the chosen port for `tcp:HOST:0`).
+fn start_daemon(addr: BindAddr) -> (BindAddr, std::thread::JoinHandle<()>) {
+    let listener = Listener::bind(&addr).unwrap();
+    let addr = listener.addr().clone();
+    let core = ServeCore::new(test_config());
+    (addr, std::thread::spawn(move || listener.run(&core)))
+}
+
+/// A fresh Unix socket address in its own temp directory.
+fn unix_addr(tag: &str) -> (BindAddr, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("linarb-serve-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    (BindAddr::Unix(dir.join("daemon.sock")), dir)
+}
+
 #[test]
 fn daemon_round_trip_over_unix_socket() {
-    let dir = std::env::temp_dir().join(format!("linarb-serve-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let addr = BindAddr::Unix(dir.join("daemon.sock"));
-    let core = Arc::new(ServeCore::new(test_config()));
-    let server_addr = addr.clone();
-    let handle = std::thread::spawn(move || serve(&server_addr, core));
-
-    // The daemon binds asynchronously; poll for the socket.
-    let mut client = None;
-    for _ in 0..200 {
-        match Client::connect(&addr) {
-            Ok(c) => {
-                client = Some(c);
-                break;
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-    let mut client = client.expect("daemon did not come up");
+    let (addr, dir) = unix_addr("test");
+    let (addr, handle) = start_daemon(addr);
+    let mut client = Client::connect(&addr).unwrap();
 
     let pong = client.call("{\"op\":\"ping\"}").unwrap();
     assert!(pong.contains("\"ok\":true"), "bad ping reply: {pong}");
@@ -136,6 +141,9 @@ fn daemon_round_trip_over_unix_socket() {
     let reply = client.call(&req).unwrap();
     assert!(reply.contains("\"verdict\":\"sat\""), "bad solve reply: {reply}");
     assert!(reply.contains("\"cache\":\"miss\""), "first solve must miss: {reply}");
+    // The reply names the daemon's own time to parse the request.
+    let parsed = json::parse(&reply).unwrap();
+    assert!(parsed.get("parse_us").and_then(Json::as_f64).is_some(), "no parse_us: {reply}");
 
     // Same program again on a new connection: exact hit.
     drop(client);
@@ -149,37 +157,63 @@ fn daemon_round_trip_over_unix_socket() {
 
     let bye = client.call("{\"op\":\"shutdown\"}").unwrap();
     assert!(bye.contains("\"ok\":true"));
-    handle.join().unwrap().unwrap();
+    handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn malformed_frames_get_error_responses() {
-    let dir = std::env::temp_dir().join(format!("linarb-serve-err-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let addr = BindAddr::Unix(dir.join("daemon.sock"));
-    let core = Arc::new(ServeCore::new(test_config()));
-    let server_addr = addr.clone();
-    let handle = std::thread::spawn(move || serve(&server_addr, core));
-    let mut client = None;
-    for _ in 0..200 {
-        match Client::connect(&addr) {
-            Ok(c) => {
-                client = Some(c);
-                break;
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-    let mut client = client.expect("daemon did not come up");
+    let (addr, dir) = unix_addr("err");
+    let (addr, handle) = start_daemon(addr);
+    let mut client = Client::connect(&addr).unwrap();
     let reply = client.call("this is not json").unwrap();
     assert!(reply.contains("\"op\":\"error\""), "bad error reply: {reply}");
     // The connection survives a bad request.
     let pong = client.call("{\"op\":\"ping\"}").unwrap();
     assert!(pong.contains("\"ok\":true"));
     client.call("{\"op\":\"shutdown\"}").unwrap();
-    handle.join().unwrap().unwrap();
+    handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bad_frames_end_only_their_own_connection() {
+    let (addr, dir) = unix_addr("frames");
+    let (addr, handle) = start_daemon(addr);
+    let BindAddr::Unix(path) = &addr else { unreachable!() };
+    let oversized = ((MAX_FRAME + 1) as u32).to_be_bytes().to_vec();
+    let mut cut_off = 100u32.to_be_bytes().to_vec();
+    cut_off.extend_from_slice(b"{\"op\":\"pi");
+    for bytes in [oversized, cut_off] {
+        let mut raw = UnixStream::connect(path).unwrap();
+        raw.write_all(&bytes).unwrap();
+        raw.shutdown(Shutdown::Write).unwrap();
+        // The daemon closes this connection without a reply.
+        assert_eq!(read_frame(&mut raw).unwrap(), None);
+    }
+    let mut client = Client::connect(&addr).unwrap();
+    let pong = client.call("{\"op\":\"ping\"}").unwrap();
+    assert!(pong.contains("\"ok\":true"), "bad ping reply: {pong}");
+    client.call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn tcp_round_trips_take_no_delayed_ack_stall() {
+    // A frame sent as two writes waits on TCP for the peer's delayed
+    // ACK, about 40-90 ms per round trip; 50 pings would take seconds.
+    let (addr, handle) = start_daemon(BindAddr::Tcp("127.0.0.1:0".into()));
+    let mut client = Client::connect(&addr).unwrap();
+    let start = Instant::now();
+    for _ in 0..50 {
+        let pong = client.call("{\"op\":\"ping\"}").unwrap();
+        assert!(pong.contains("\"ok\":true"), "bad ping reply: {pong}");
+    }
+    let took = start.elapsed();
+    client.call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap();
+    assert!(took < Duration::from_secs(1), "50 TCP pings took {took:?}");
 }
 
 #[test]

@@ -6,6 +6,12 @@
 //! parser). Framing lives here, next to the JSON layer it carries,
 //! so both ends of the wire — the daemon, the CLI client, the bench
 //! replay driver — share one codec.
+//!
+//! [`write_frame`] hands the prefix and the payload to the stream in
+//! one write. Written separately, they made TCP hold the payload back
+//! until the peer's delayed ACK of the 4-byte prefix (Nagle's
+//! algorithm): 87 ms per `ping` round trip instead of 0.032 ms. With
+//! one write per frame `TCP_NODELAY` buys nothing, so it is not set.
 
 use std::io::{self, Read, Write};
 
@@ -14,7 +20,8 @@ use std::io::{self, Read, Write};
 /// length prefix from forcing an absurd allocation.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Writes one frame and flushes the stream.
+/// Writes one frame, prefix and payload in one `write_all`, and
+/// flushes the stream.
 ///
 /// # Errors
 ///
@@ -28,8 +35,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME", bytes.len()),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -83,6 +92,23 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("{\"op\":\"ping\"}"));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn one_write_per_frame() {
+        struct Writes(Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(Vec::new());
+        write_frame(&mut w, "{\"op\":\"ping\"}").unwrap();
+        assert_eq!(w.0, [4 + 13]);
     }
 
     #[test]

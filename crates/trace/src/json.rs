@@ -1,6 +1,11 @@
-//! A minimal JSON reader — just enough to validate JSONL traces and
-//! scrape numbers out of benchmark reports, keeping the workspace
-//! dependency-free.
+//! A minimal JSON reader, keeping the workspace dependency-free. It
+//! validates JSONL traces, scrapes numbers out of benchmark reports
+//! and parses every serve request and reply frame ([`crate::frame`]).
+//!
+//! Parsing is one pass over the input. A string copies each run of
+//! unescaped bytes, up to the next `"` or `\`, as one slice: the input
+//! is a `&str`, and both stop bytes are ASCII, so no byte is decoded or
+//! validated twice, and parse time stays linear in the frame size.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -70,7 +75,7 @@ impl std::error::Error for JsonError {}
 /// trailing garbage rejected).
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let b = text.as_bytes();
-    let mut p = Parser { b, i: 0 };
+    let mut p = Parser { s: text, b, i: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -95,6 +100,7 @@ pub fn validate_jsonl(text: &str) -> Result<usize, (usize, JsonError)> {
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -200,51 +206,62 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    let c = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.i += 1;
-                    match c {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.i + 4 > self.b.len() {
-                                return Err(self.err("short \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.b[self.i..self.i + 4])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.i += 4;
-                            // Surrogate pairs are not reconstructed;
-                            // traces never emit them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(_) => {
-                    // consume one UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
+            // Copy the run of unescaped bytes up to the next `"` or `\`
+            // in one slice. Both stop bytes are ASCII, so the run ends
+            // on a char boundary of the (already valid) input.
+            let run = self.b[self.i..].iter().position(|&c| c == b'"' || c == b'\\');
+            let Some(len) = run else {
+                self.i = self.b.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.s[self.i..self.i + len]);
+            self.i += len;
+            if self.b[self.i] == b'"' {
+                self.i += 1;
+                return Ok(out);
+            }
+            self.i += 1;
+            let c = self.peek().ok_or_else(|| self.err("bad escape"))?;
+            self.i += 1;
+            match c {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => out.push(self.unicode_escape()?),
+                _ => return Err(self.err("unknown escape")),
             }
         }
+    }
+
+    /// The four hex digits at byte `at`, if they are there.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let hex = self.b.get(at..at + 4)?;
+        if !hex.iter().all(u8::is_ascii_hexdigit) {
+            return None;
+        }
+        u32::from_str_radix(&self.s[at..at + 4], 16).ok()
+    }
+
+    /// The scalar of a `\u` escape whose digits start at `self.i`. A
+    /// high surrogate followed by an escaped low one decodes the pair
+    /// (`\ud83d\ude00` is one scalar); a lone surrogate becomes U+FFFD
+    /// and leaves any following escape alone.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let code = self.hex4(self.i).ok_or_else(|| self.err("bad \\u escape"))?;
+        self.i += 4;
+        if (0xD800..0xDC00).contains(&code) && self.b[self.i..].starts_with(b"\\u") {
+            if let Some(low @ 0xDC00..=0xDFFF) = self.hex4(self.i + 2) {
+                self.i += 6;
+                let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(scalar).expect("a surrogate pair is a scalar"));
+            }
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -270,8 +287,7 @@ impl<'a> Parser<'a> {
                 self.i += 1;
             }
         }
-        let text = std::str::from_utf8(&self.b[start..self.i]).unwrap();
-        match text.parse::<f64>() {
+        match self.s[start..self.i].parse::<f64>() {
             // `"1e999".parse::<f64>()` yields `inf` rather than an
             // error; a non-finite value can't round-trip through any
             // emitter in this workspace, so treat overflow as malformed
@@ -322,10 +338,6 @@ mod tests {
         assert_eq!(v.as_str(), Some("a\"b\\c/d\u{8}\u{c}\n\r\t"));
         let v = parse(r#""Aé世""#).unwrap();
         assert_eq!(v.as_str(), Some("Aé世"));
-        // Lone surrogates degrade to the replacement character rather
-        // than producing invalid UTF-8.
-        let v = parse(r#""\ud800""#).unwrap();
-        assert_eq!(v.as_str(), Some("\u{fffd}"));
         // The emitter's own escaping parses back exactly.
         let original = "quote\" slash\\ ctrl\u{1} tab\t nl\n";
         let emitted = crate::event::json_string(original);
@@ -333,10 +345,68 @@ mod tests {
     }
 
     #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        // What Python's default `json.dumps` sends for non-BMP text.
+        let v = parse(r#""a\ud83d\ude00b""#).unwrap();
+        assert_eq!(v.as_str(), Some("a\u{1f600}b"));
+        assert_eq!(parse(r#""\uD834\uDD1E""#).unwrap().as_str(), Some("\u{1d11e}"));
+    }
+
+    #[test]
+    fn lone_surrogates_become_replacement_characters() {
+        for (doc, want) in [
+            (r#""\ud800""#, "\u{fffd}"),
+            (r#""\udc00x""#, "\u{fffd}x"),
+            // A high half followed by something other than a low half
+            // leaves what follows to decode on its own.
+            (r#""\ud83dx""#, "\u{fffd}x"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}\u{1f600}"),
+            (r#""\ud83d\n""#, "\u{fffd}\n"),
+        ] {
+            assert_eq!(parse(doc).unwrap().as_str(), Some(want), "{doc}");
+        }
+        // A truncated low half is an error, as any short escape is.
+        assert!(parse(r#""\ud83d\ude0""#).is_err());
+    }
+
+    #[test]
+    fn random_strings_round_trip_through_the_emitter() {
+        const PIECES: [&str; 12] =
+            ["a", "Z", "0", " ", "\"", "\\", "\n", "\u{1}", "\u{1f}", "é", "世", "😀"];
+        linarb_testutil::cases(200, 0x150_5eed, |rng| {
+            let len = rng.gen_range(0usize..64);
+            let original: String =
+                (0..len).map(|_| PIECES[rng.gen_range(0..PIECES.len())]).collect();
+            let emitted = crate::event::json_string(&original);
+            assert_eq!(parse(&emitted).unwrap().as_str(), Some(original.as_str()));
+            let doc = format!("{{\"k\":[{emitted},{emitted}]}}");
+            let Some(Json::Arr(items)) = parse(&doc).unwrap().get("k").cloned() else {
+                panic!("expected array in {doc:?}");
+            };
+            assert!(items.iter().all(|v| v.as_str() == Some(original.as_str())));
+        });
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_parses_in_linear_time() {
+        let text = "(assert (=> (and (inv x) (< x 10)) (inv (+ x 1))))\n".repeat(21_000);
+        let value = &text[..1 << 20];
+        let doc = crate::event::json_string(value);
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let took = start.elapsed();
+        assert_eq!(parsed.as_str(), Some(value));
+        assert!(took.as_secs_f64() < 1.0, "1 MiB string took {took:?}");
+    }
+
+    #[test]
     fn bad_escapes_rejected() {
         assert!(parse(r#""\q""#).is_err());
         assert!(parse(r#""\u12""#).is_err()); // short \u escape
         assert!(parse(r#""\uzzzz""#).is_err());
+        assert!(parse(r#""\u+123""#).is_err()); // hex digits only
+        assert!(parse(r#""\u12é""#).is_err());
         assert!(parse("\"abc\\").is_err()); // escape at EOF
     }
 

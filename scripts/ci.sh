@@ -75,45 +75,54 @@ out="$(LINARB_PORTFOLIO_FORCE=cegar cargo run --release --offline -p linarb --bi
     --engine portfolio --timeout-ms 60000 examples/fig1.smt2)"
 [ "$out" = "sat" ] || { echo "portfolio CLI: forced cegar on fig1 got '$out'" >&2; exit 1; }
 
-echo "== serve smoke (daemon + batch over a unix socket) =="
+echo "== serve smoke (daemon + batch over a unix socket and over tcp) =="
 # End-to-end through the daemon: start `linarb serve`, submit a batch
 # of example programs over the socket, and require (a) the verdicts to
 # match the single-shot CLI on the same files, (b) a repeated
-# submission to be a verified exact cache hit. The daemon handles
-# connections sequentially and the cache is a pure function of the
-# submission sequence, so this is deterministic.
-serve_sock="$(mktemp -u /tmp/linarb_serve_ci.XXXXXX.sock)"
-serve_log="$(mktemp /tmp/linarb_serve_ci.XXXXXX.log)"
-cargo run --release --offline -p linarb --bin linarb -- \
-    serve --addr "unix:$serve_sock" --timeout-ms 60000 >"$serve_log" 2>&1 &
-serve_pid=$!
-trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do
-    [ -S "$serve_sock" ] && break
-    sleep 0.1
-done
-[ -S "$serve_sock" ] || { echo "serve smoke: daemon never bound $serve_sock" >&2; exit 1; }
-for f in examples/fig1.smt2 examples/fibo_unsafe.smt2; do
-    single="$(cargo run --release --offline -p linarb --bin linarb -- "$f")"
-    served="$(cargo run --release --offline -p linarb --bin linarb -- \
-        client --addr "unix:$serve_sock" "$f")"
-    got="$(echo "$served" | awk '{print $2}')"
-    [ "$got" = "$single" ] \
-        || { echo "serve smoke: $f served '$got' vs single-shot '$single'" >&2; exit 1; }
-done
-# Second submission of the same file: must be served from the exact
-# tier, re-verified before delivery.
-repeat="$(cargo run --release --offline -p linarb --bin linarb -- \
-    client --addr "unix:$serve_sock" examples/fig1.smt2)"
-echo "$repeat" | grep -q 'cache=exact' \
-    || { echo "serve smoke: repeat submission missed the cache: $repeat" >&2; exit 1; }
-echo "$repeat" | grep -q 'verified=true' \
-    || { echo "serve smoke: exact hit served unverified: $repeat" >&2; exit 1; }
-cargo run --release --offline -p linarb --bin linarb -- \
-    client --addr "unix:$serve_sock" --op shutdown >/dev/null
-wait "$serve_pid"
-trap - EXIT
-rm -f "$serve_log"
+# submission to be a verified exact cache hit, (c) a clean exit on
+# `shutdown`. The daemon handles connections sequentially and the
+# cache is a pure function of the submission sequence, so this is
+# deterministic. Run once per transport; the daemon's ready line names
+# the address it bound, which for `tcp:127.0.0.1:0` carries the port
+# the OS chose.
+serve_smoke() {
+    local serve_log addr
+    serve_log="$(mktemp /tmp/linarb_serve_ci.XXXXXX.log)"
+    cargo run --release --offline -p linarb --bin linarb -- \
+        serve --addr "$1" --timeout-ms 60000 >"$serve_log" 2>&1 &
+    serve_pid=$!
+    trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
+    addr=""
+    for _ in $(seq 1 100); do
+        addr="$(sed -n 's/^linarb-serve: ready on //p' "$serve_log")"
+        [ -n "$addr" ] && break
+        sleep 0.1
+    done
+    [ -n "$addr" ] || { echo "serve smoke: daemon never got ready on $1" >&2; cat "$serve_log" >&2; exit 1; }
+    for f in examples/fig1.smt2 examples/fibo_unsafe.smt2; do
+        single="$(cargo run --release --offline -p linarb --bin linarb -- "$f")"
+        served="$(cargo run --release --offline -p linarb --bin linarb -- \
+            client --addr "$addr" "$f")"
+        got="$(echo "$served" | awk '{print $2}')"
+        [ "$got" = "$single" ] \
+            || { echo "serve smoke: $f served '$got' vs single-shot '$single' on $addr" >&2; exit 1; }
+    done
+    # Second submission of the same file: must be served from the exact
+    # tier, re-verified before delivery.
+    repeat="$(cargo run --release --offline -p linarb --bin linarb -- \
+        client --addr "$addr" examples/fig1.smt2)"
+    echo "$repeat" | grep -q 'cache=exact' \
+        || { echo "serve smoke: repeat submission missed the cache on $addr: $repeat" >&2; exit 1; }
+    echo "$repeat" | grep -q 'verified=true' \
+        || { echo "serve smoke: exact hit served unverified on $addr: $repeat" >&2; exit 1; }
+    cargo run --release --offline -p linarb --bin linarb -- \
+        client --addr "$addr" --op shutdown >/dev/null
+    wait "$serve_pid"
+    trap - EXIT
+    rm -f "$serve_log"
+}
+serve_smoke "unix:$(mktemp -u /tmp/linarb_serve_ci.XXXXXX.sock)"
+serve_smoke "tcp:127.0.0.1:0"
 
 echo "== cache-key determinism gate =="
 # The canonicalization property tests (rename/reorder/scale variants
