@@ -163,7 +163,8 @@ pub struct SolverConfig {
     /// Symbolic seeding (DESIGN.md §12): harvest candidate separating
     /// directions from clause syntax (and any attached hints/atoms),
     /// offer them to the learner as first-try separators and extra
-    /// decision-tree features. Defaults to on unless `LINARB_NO_SEED=1`.
+    /// decision-tree features. Defaults to on; only
+    /// [`with_seeding(false)`](SolverConfig::with_seeding) turns it off.
     /// Purely a heuristic accelerator: verdicts are unaffected.
     pub seeding: bool,
     /// Extra seed atoms in predicate parameter space, injected by the
@@ -182,11 +183,6 @@ pub struct SolverConfig {
     pub warm_start: Option<Arc<SolveSnapshot>>,
 }
 
-/// The `LINARB_NO_SEED` default for [`SolverConfig::seeding`].
-fn seeding_from_env() -> bool {
-    !std::env::var("LINARB_NO_SEED").is_ok_and(|s| s.trim() == "1")
-}
-
 impl SolverConfig {
     /// The paper's configuration with a custom learning pipeline.
     pub fn with_learn_config(learn: LearnConfig) -> SolverConfig {
@@ -199,7 +195,7 @@ impl SolverConfig {
             learner,
             max_iterations: 20_000,
             oracle: OracleMode::default(),
-            seeding: seeding_from_env(),
+            seeding: true,
             seed_atoms: Vec::new(),
             progress: None,
             warm_start: None,
@@ -213,8 +209,7 @@ impl SolverConfig {
     }
 
     /// Enables or disables symbolic seeding (see
-    /// [`SolverConfig::seeding`]). Tests use this instead of the
-    /// process-global `LINARB_NO_SEED` variable.
+    /// [`SolverConfig::seeding`]).
     pub fn with_seeding(mut self, seeding: bool) -> SolverConfig {
         self.seeding = seeding;
         self

@@ -14,10 +14,10 @@
 //!   by a fresh *activation literal* `g` via the clause `¬g ∨ root(f)`:
 //!   passing `g` to [`check`] enables the formula, omitting it retracts
 //!   it with zero solver work (the clause is vacuously satisfiable).
-//! * **Checks under assumptions** ([`check`]) call the CDCL core
-//!   through [`SatSolver::solve_under_assumptions`], so learned
-//!   clauses, VSIDS activity, saved phases, and watcher state all
-//!   carry over to the next check.
+//! * **Checks under assumptions** ([`check`]) run the online DPLL(T)
+//!   search with the active guards as assumption literals, so learned
+//!   clauses, VSIDS activity, saved phases, watcher state, and the
+//!   warm simplex tableau all carry over to the next check.
 //!
 //! Learned clauses are consequences of the *clause set* only — never
 //! of the assumptions — so lemmas derived while one interpretation was
@@ -34,15 +34,13 @@
 //! [`assert_permanent`]: IncrementalSolver::assert_permanent
 //! [`push_guarded`]: IncrementalSolver::push_guarded
 //! [`check`]: IncrementalSolver::check
-//! [`SatSolver::solve_under_assumptions`]: linarb_sat::SatSolver::solve_under_assumptions
 
 use crate::budget::Budget;
-use crate::online::LiaHook;
+use crate::theory::TheoryLia;
 use crate::tseitin::Encoder;
-use crate::theory::{TheoryLia, TheoryVerdict};
-use crate::{lower_mods_from, SmtResult};
+use crate::{lower_mods_from, online, SmtResult};
 use linarb_logic::{Atom, Formula};
-use linarb_sat::{BVar, Lit, SatResult};
+use linarb_sat::{BVar, Lit};
 use std::collections::{HashMap, HashSet};
 
 /// First fresh variable index for lowered `Mod` atoms. High enough to
@@ -56,15 +54,11 @@ const FRESH_VAR_BASE: u32 = 1 << 28;
 #[derive(Clone, Debug)]
 pub struct IncrementalSolver {
     enc: Encoder,
-    /// Long-lived theory context for the online engine: each candidate
-    /// assignment is asserted under a backtrack mark and popped again,
-    /// so the simplex tableau (rows, interned slacks, current basis)
-    /// stays warm across assignments *and* across checks.
+    /// Long-lived theory context: each candidate assignment is
+    /// asserted under a backtrack mark and popped again, so the simplex
+    /// tableau (rows, interned slacks, current basis) stays warm across
+    /// assignments *and* across checks.
     theory: TheoryLia,
-    /// Online DPLL(T) (theory consulted inside the SAT search) vs. the
-    /// retained offline loop (fresh theory per full model). Defaults to
-    /// online unless `LINARB_SMT_OFFLINE=1`.
-    online: bool,
     /// Monotone supply of fresh `Var` indices for mod-lowering: shared
     /// across all asserts so two formulas never collide.
     next_fresh: u32,
@@ -92,19 +86,11 @@ impl IncrementalSolver {
         IncrementalSolver {
             enc: Encoder::new(),
             theory: TheoryLia::new(),
-            online: !crate::online::offline_mode(),
             next_fresh: FRESH_VAR_BASE,
             permanent_atoms: HashSet::new(),
             guard_atoms: HashMap::new(),
             checks: 0,
         }
-    }
-
-    /// Forces the offline (rebuild-per-model) oracle path for this
-    /// context, regardless of the process-wide default. Used by the
-    /// differential tests.
-    pub fn set_online(&mut self, online: bool) {
-        self.online = online;
     }
 
     fn prepare(&mut self, f: &Formula) -> Formula {
@@ -194,8 +180,8 @@ impl IncrementalSolver {
         // Atoms this check's formulas actually mention; atoms occurring
         // only in retracted guarded formulas are invisible to the
         // theory (their SAT polarities are unconstrained noise).
-        // Selected once per check — the per-round loop below only reads
-        // their values.
+        // Selected once per check — the search rounds only read their
+        // values.
         let mut relevant: HashSet<BVar> = self.permanent_atoms.clone();
         for g in active {
             if let Some(atoms) = self.guard_atoms.get(g) {
@@ -208,26 +194,6 @@ impl IncrementalSolver {
             .filter(|(_, v)| relevant.contains(v))
             .map(|(a, v)| (a.clone(), v))
             .collect();
-        if self.online {
-            self.check_online(&relevant_atoms, active, budget, rounds)
-        } else {
-            self.check_offline(&relevant_atoms, active, budget, rounds)
-        }
-    }
-
-    /// Online DPLL(T) check: the pooled theory context judges complete
-    /// assignments *inside* the SAT search (via [`LiaHook`]), learning
-    /// theory conflicts as clauses mid-search instead of restarting the
-    /// search per model. The outer loop only handles budget stops and
-    /// abandoned (theory-`Unknown`) assignments.
-    fn check_online(
-        &mut self,
-        relevant_atoms: &[(Atom, BVar)],
-        active: &[Lit],
-        budget: &Budget,
-        rounds: &mut u64,
-    ) -> SmtResult {
-        use linarb_trace::{event, metrics, Level};
         // Slack rows interned inside popped frames persist (bound-free
         // slacks are semantically inert), so a context kept across
         // CEGAR iterations accretes one row per candidate atom it has
@@ -250,136 +216,14 @@ impl IncrementalSolver {
             self.theory = TheoryLia::new();
             self.theory.restore_stats(bt, bn, pv);
         }
-        let mut assumptions: Vec<Lit> = active.to_vec();
-        // Allocated lazily on the first abandoned assignment; guards
-        // this check's Unknown blocking clauses so they expire.
-        let mut call_lit: Option<Lit> = None;
-        let mut had_theory_unknown = false;
-        loop {
-            if budget.exhausted() {
-                event!(Level::Debug, "smt", "smt.budget_exhausted", "rounds" => *rounds);
-                metrics::counter("smt.budget_exhausted", 1);
-                return SmtResult::Unknown;
-            }
-            *rounds += 1;
-            self.enc.sat.set_conflict_limit(budget.conflict_limit());
-            let mut hook = LiaHook::new(&mut self.theory, relevant_atoms, budget);
-            let verdict = self.enc.sat.solve_with_theory(&assumptions, &mut hook);
-            let model = hook.model.take();
-            let abandoned = hook.abandoned.take();
-            drop(hook);
-            match verdict {
-                SatResult::Unsat => {
-                    return if had_theory_unknown { SmtResult::Unknown } else { SmtResult::Unsat }
-                }
-                SatResult::Unknown => return SmtResult::Unknown,
-                SatResult::Sat => {
-                    if let Some(m) = model {
-                        return SmtResult::Sat(m);
-                    }
-                    // Paused. Budget stops are reported by the loop
-                    // head; an abandonment is blocked under this
-                    // check's call literal (a pragma, not a fact) and
-                    // taints any later Unsat.
-                    if let Some(mut clause) = abandoned {
-                        had_theory_unknown = true;
-                        let cl = *call_lit.get_or_insert_with(|| {
-                            let l = self.enc.sat.new_var().positive();
-                            assumptions.push(l);
-                            l
-                        });
-                        clause.push(cl.negated());
-                        if !self.enc.sat.add_clause(&clause) {
-                            return SmtResult::Unknown;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The retained offline loop: fresh theory per full SAT model,
-    /// blocking clause, re-solve. Reference oracle for the online path.
-    fn check_offline(
-        &mut self,
-        relevant_atoms: &[(Atom, BVar)],
-        active: &[Lit],
-        budget: &Budget,
-        rounds: &mut u64,
-    ) -> SmtResult {
-        use linarb_trace::{event, metrics, Level};
-        let mut assumptions: Vec<Lit> = active.to_vec();
-        // Allocated lazily on the first abandoned assignment; guards
-        // this check's Unknown blocking clauses so they expire.
-        let mut call_lit: Option<Lit> = None;
-        let mut had_theory_unknown = false;
-        loop {
-            if budget.exhausted() {
-                event!(Level::Debug, "smt", "smt.budget_exhausted", "rounds" => *rounds);
-                metrics::counter("smt.budget_exhausted", 1);
-                return SmtResult::Unknown;
-            }
-            *rounds += 1;
-            self.enc.sat.set_conflict_limit(budget.conflict_limit());
-            let verdict = self.enc.sat.solve_under_assumptions(&assumptions);
-            match verdict {
-                SatResult::Unsat => {
-                    return if had_theory_unknown { SmtResult::Unknown } else { SmtResult::Unsat }
-                }
-                SatResult::Unknown => return SmtResult::Unknown,
-                SatResult::Sat => {
-                    let mut theory = TheoryLia::new();
-                    let assignment: Vec<(Atom, Lit)> = relevant_atoms
-                        .iter()
-                        .map(|(a, v)| {
-                            let value = self.enc.sat.value(*v).expect("full assignment");
-                            let atom = if value { a.clone() } else { a.negate() };
-                            (atom, v.lit(value))
-                        })
-                        .collect();
-                    let mut early_conflict: Option<Vec<usize>> = None;
-                    for (tag, (atom, _)) in assignment.iter().enumerate() {
-                        if let Err(c) = theory.assert_atom(atom, tag) {
-                            early_conflict = Some(c.core());
-                            break;
-                        }
-                    }
-                    let (core, unknown) = match early_conflict {
-                        Some(core) => (core, false),
-                        None => match theory.check(budget) {
-                            TheoryVerdict::Feasible(m) => return SmtResult::Sat(m),
-                            TheoryVerdict::Unknown => (Vec::new(), true),
-                            TheoryVerdict::Infeasible { core, .. } => (core, false),
-                        },
-                    };
-                    // Blocking clause over the core (or the entire
-                    // assignment when the theory couldn't localize).
-                    let mut clause: Vec<Lit> = if core.is_empty() {
-                        assignment.iter().map(|(_, l)| l.negated()).collect()
-                    } else {
-                        core.iter().map(|&t| assignment[t].1.negated()).collect()
-                    };
-                    if unknown {
-                        // Abandonment, not a fact: guard it with this
-                        // check's call literal so it expires.
-                        had_theory_unknown = true;
-                        let cl = *call_lit.get_or_insert_with(|| {
-                            let l = self.enc.sat.new_var().positive();
-                            assumptions.push(l);
-                            l
-                        });
-                        clause.push(cl.negated());
-                    }
-                    if clause.is_empty() {
-                        // No theory literals at all yet infeasible.
-                        return SmtResult::Unsat;
-                    }
-                    if !self.enc.sat.add_clause(&clause) {
-                        return SmtResult::Unsat;
-                    }
-                }
-            }
-        }
+        online::search(
+            &mut self.enc.sat,
+            &mut self.theory,
+            &relevant_atoms,
+            active,
+            budget,
+            rounds,
+        )
     }
 
     /// Total clauses the persistent CDCL core has learned over the
@@ -399,8 +243,7 @@ impl IncrementalSolver {
     }
 
     /// Cumulative simplex pivots performed by this context's warm
-    /// theory (statistics; zero while running the offline oracle,
-    /// whose per-model theories are discarded).
+    /// theory (statistics).
     pub fn num_simplex_pivots(&self) -> u64 {
         self.theory.num_pivots()
     }

@@ -12,10 +12,12 @@
 //! ([`check_conjunction`]) that the baseline solvers use for unsat
 //! cores and interpolation.
 //!
-//! Architecture: formulas are Tseitin-encoded into the CDCL solver
-//! from `linarb-sat`; full boolean assignments are checked by an exact
-//! rational simplex with branch-and-bound for integrality
-//! ([`TheoryLia`]); theory conflicts come back as blocking clauses.
+//! Architecture: online DPLL(T). Formulas are Tseitin-encoded into the
+//! CDCL solver from `linarb-sat`, which consults an exact rational
+//! simplex with branch-and-bound for integrality ([`TheoryLia`]) at
+//! every complete assignment *inside* its search; theory conflicts are
+//! learned as clauses on the spot and the search backjumps, with the
+//! theory's tableau kept warm across assignments.
 //!
 //! # Examples
 //!
@@ -54,7 +56,6 @@ pub use theory::{TheoryLia, TheoryVerdict};
 pub use tseitin::Encoder;
 
 use linarb_logic::{Atom, Formula, Model};
-use linarb_sat::SatResult;
 
 /// Result of a satisfiability check.
 #[derive(Debug)]
@@ -180,7 +181,7 @@ pub fn check_sat(f: &Formula, budget: &Budget) -> SmtResult {
     use linarb_trace::Level;
     let mut span = linarb_trace::span(Level::Debug, "smt", "smt.check_sat");
     let mut rounds = 0u64;
-    let result = check_sat_inner(f, budget, &mut rounds, online::offline_mode());
+    let result = check_sat_inner(f, budget, &mut rounds);
     if span.active() {
         span.record("rounds", rounds);
         span.record("result", result.label());
@@ -188,24 +189,7 @@ pub fn check_sat(f: &Formula, budget: &Budget) -> SmtResult {
     result
 }
 
-/// The pre-online reference oracle: identical pipeline, but it tears
-/// the theory context down after every complete boolean assignment and
-/// restarts the SAT search from the top. Kept for differential testing
-/// against the online engine; `LINARB_SMT_OFFLINE=1` routes
-/// [`check_sat`] here process-wide.
-pub fn check_sat_offline(f: &Formula, budget: &Budget) -> SmtResult {
-    use linarb_trace::Level;
-    let mut span = linarb_trace::span(Level::Debug, "smt", "smt.check_sat");
-    let mut rounds = 0u64;
-    let result = check_sat_inner(f, budget, &mut rounds, true);
-    if span.active() {
-        span.record("rounds", rounds);
-        span.record("result", result.label());
-    }
-    result
-}
-
-fn check_sat_inner(f: &Formula, budget: &Budget, rounds: &mut u64, offline: bool) -> SmtResult {
+fn check_sat_inner(f: &Formula, budget: &Budget, rounds: &mut u64) -> SmtResult {
     use linarb_trace::{event, metrics, Level};
     let f = lower_mods(f).simplify();
     match f {
@@ -221,132 +205,15 @@ fn check_sat_inner(f: &Formula, budget: &Budget, rounds: &mut u64, offline: bool
         "subformulas" => enc.num_subformulas(),
         "clauses" => enc.sat.num_clauses());
     metrics::counter("smt.tseitin_clauses", enc.sat.num_clauses() as u64);
-    if offline {
-        check_sat_loop_offline(&mut enc, budget, rounds)
-    } else {
-        check_sat_loop_online(&mut enc, budget, rounds)
-    }
-}
-
-/// Online DPLL(T) search loop: one long-lived [`TheoryLia`] judges
-/// every complete assignment inside the SAT search via [`online::LiaHook`],
-/// and theory conflicts are learned as clauses mid-search. The outer
-/// loop only re-enters for theory-`Unknown` abandonments and budget
-/// checks.
-fn check_sat_loop_online(enc: &mut Encoder, budget: &Budget, rounds: &mut u64) -> SmtResult {
-    use linarb_trace::{event, metrics, Level};
-    let atom_list: Vec<(Atom, linarb_sat::BVar)> =
-        enc.atoms().map(|(a, v)| (a.clone(), v)).collect();
-    let mut theory = TheoryLia::new();
-    let mut had_theory_unknown = false;
-    loop {
-        if budget.exhausted() {
-            event!(Level::Debug, "smt", "smt.budget_exhausted", "rounds" => *rounds);
-            metrics::counter("smt.budget_exhausted", 1);
-            return SmtResult::Unknown;
-        }
-        *rounds += 1;
-        enc.sat.set_conflict_limit(budget.conflict_limit());
-        let mut hook = online::LiaHook::new(&mut theory, &atom_list, budget);
-        let verdict = enc.sat.solve_with_theory(&[], &mut hook);
-        let model = hook.model.take();
-        let abandoned = hook.abandoned.take();
-        drop(hook);
-        match verdict {
-            SatResult::Unsat => {
-                return if had_theory_unknown { SmtResult::Unknown } else { SmtResult::Unsat }
-            }
-            SatResult::Unknown => return SmtResult::Unknown,
-            SatResult::Sat => {
-                if let Some(m) = model {
-                    return SmtResult::Sat(m);
-                }
-                // Paused: either the budget tripped (the loop head
-                // reports it) or the theory abandoned this assignment —
-                // block it and keep looking, remembering that a boolean
-                // Unsat can no longer be trusted.
-                if let Some(clause) = abandoned {
-                    had_theory_unknown = true;
-                    if clause.is_empty() || !enc.sat.add_clause(&clause) {
-                        return SmtResult::Unknown;
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn check_sat_loop_offline(enc: &mut Encoder, budget: &Budget, rounds: &mut u64) -> SmtResult {
-    use linarb_trace::{event, metrics, Level};
-    // Whether some boolean assignment was abandoned because the theory
-    // solver could not decide it: an eventual boolean Unsat is then
-    // only "unknown" (the abandoned assignment might have been
-    // feasible).
-    let mut had_theory_unknown = false;
-    loop {
-        if budget.exhausted() {
-            event!(Level::Debug, "smt", "smt.budget_exhausted", "rounds" => *rounds);
-            metrics::counter("smt.budget_exhausted", 1);
-            return SmtResult::Unknown;
-        }
-        *rounds += 1;
-        enc.sat.set_conflict_limit(budget.conflict_limit());
-        let verdict = enc.sat.solve();
-        match verdict {
-            SatResult::Unsat => {
-                return if had_theory_unknown { SmtResult::Unknown } else { SmtResult::Unsat }
-            }
-            SatResult::Unknown => return SmtResult::Unknown,
-            SatResult::Sat => {
-                // Assert the induced theory literals.
-                let mut theory = TheoryLia::new();
-                let assignment: Vec<(Atom, Lit)> = enc
-                    .atoms()
-                    .map(|(a, v)| {
-                        let value = enc.sat.value(v).expect("full assignment");
-                        let atom = if value { a.clone() } else { a.negate() };
-                        (atom, v.lit(value))
-                    })
-                    .collect();
-                let mut early_conflict: Option<Vec<usize>> = None;
-                for (tag, (atom, _)) in assignment.iter().enumerate() {
-                    if let Err(c) = theory.assert_atom(atom, tag) {
-                        early_conflict = Some(c.core());
-                        break;
-                    }
-                }
-                let core: Option<Vec<usize>> = match early_conflict {
-                    Some(core) => Some(core),
-                    None => match theory.check(budget) {
-                        TheoryVerdict::Feasible(m) => return SmtResult::Sat(m),
-                        TheoryVerdict::Unknown => {
-                            // Abandon this assignment but keep looking
-                            // for an easier one; remember that Unsat
-                            // can no longer be trusted.
-                            had_theory_unknown = true;
-                            Some(Vec::new())
-                        }
-                        TheoryVerdict::Infeasible { core, .. } => Some(core),
-                    },
-                };
-                let core = core.expect("conflict path");
-                // Blocking clause: negation of the core literals (or of
-                // the entire assignment when the core is empty).
-                let clause: Vec<Lit> = if core.is_empty() {
-                    assignment.iter().map(|(_, l)| l.negated()).collect()
-                } else {
-                    core.iter().map(|&t| assignment[t].1.negated()).collect()
-                };
-                if clause.is_empty() {
-                    // No theory literals at all yet infeasible: unsat.
-                    return SmtResult::Unsat;
-                }
-                if !enc.sat.add_clause(&clause) {
-                    return SmtResult::Unsat;
-                }
-            }
-        }
-    }
+    let atoms: Vec<(Atom, linarb_sat::BVar)> = enc.atoms().map(|(a, v)| (a.clone(), v)).collect();
+    online::search(
+        &mut enc.sat,
+        &mut TheoryLia::new(),
+        &atoms,
+        &[],
+        budget,
+        rounds,
+    )
 }
 
 /// Checks validity: `f` holds under every integer assignment.

@@ -1,20 +1,24 @@
-//! Online DPLL(T) bridge: connects the CDCL core's theory hook
-//! ([`linarb_sat::TheoryHook`]) to the LIA theory context through its
-//! push/pop trail.
+//! Online DPLL(T): the one search loop behind [`check_sat`] and
+//! [`IncrementalSolver::check`], and the bridge that connects the CDCL
+//! core's theory hook ([`linarb_sat::TheoryHook`]) to the LIA theory
+//! context through its push/pop trail.
 //!
-//! The offline loop this replaces tore the theory down after every
-//! complete boolean assignment and re-solved the SAT instance from the
-//! top. Here the theory context is long-lived: every candidate
-//! assignment is judged inside the SAT search under a backtrack mark,
-//! theory conflicts become learned clauses on the spot (the search
-//! backjumps instead of restarting), and the simplex tableau — rows,
-//! interned slack columns, and the current basis — stays warm from one
-//! frame to the next.
+//! The theory context is long-lived: every complete boolean assignment
+//! is judged inside the SAT search under a backtrack mark, theory
+//! conflicts become learned clauses on the spot (the search backjumps
+//! instead of restarting), and the simplex tableau — rows, interned
+//! slack columns, and the current basis — stays warm from one frame to
+//! the next. The outer loop re-enters the SAT search only after the
+//! theory abandoned an assignment it could not decide (`Unknown`).
+//!
+//! [`check_sat`]: crate::check_sat
+//! [`IncrementalSolver::check`]: crate::IncrementalSolver::check
 
 use crate::budget::Budget;
 use crate::theory::{TheoryLia, TheoryVerdict};
+use crate::SmtResult;
 use linarb_logic::{Atom, Model};
-use linarb_sat::{BVar, Lit, SatSolver, TheoryHook, TheoryResponse};
+use linarb_sat::{BVar, Lit, SatResult, SatSolver, TheoryHook, TheoryResponse};
 
 /// The literal↔atom bridge handed to [`SatSolver::solve_with_theory`].
 ///
@@ -22,49 +26,25 @@ use linarb_sat::{BVar, Lit, SatSolver, TheoryHook, TheoryResponse};
 /// asserts the induced atom polarities in variable-index order (the
 /// index doubling as the theory tag), asks for a verdict, and pops the
 /// frame — leaving the tableau warm for the next frame.
-pub(crate) struct LiaHook<'a> {
+struct LiaHook<'a> {
     theory: &'a mut TheoryLia,
     /// Atom ↔ boolean-variable map fixing the assertion order; the
     /// slice index is the theory tag, so cores map back to literals.
     atoms: &'a [(Atom, BVar)],
     budget: &'a Budget,
     /// Model of the accepted assignment, when the search ends `Sat`.
-    pub(crate) model: Option<Model>,
+    model: Option<Model>,
     /// Blocking clause for an assignment the theory abandoned
-    /// (`Unknown`): the outer loop installs it (guarded by a call
-    /// literal in incremental use) and re-solves.
-    pub(crate) abandoned: Option<Vec<Lit>>,
-    /// Set when the budget tripped before the theory was consulted.
-    pub(crate) budget_stop: bool,
-    /// Complete assignments judged by the theory in this search.
-    pub(crate) models_checked: u64,
-}
-
-impl<'a> LiaHook<'a> {
-    pub(crate) fn new(
-        theory: &'a mut TheoryLia,
-        atoms: &'a [(Atom, BVar)],
-        budget: &'a Budget,
-    ) -> LiaHook<'a> {
-        LiaHook {
-            theory,
-            atoms,
-            budget,
-            model: None,
-            abandoned: None,
-            budget_stop: false,
-            models_checked: 0,
-        }
-    }
+    /// (`Unknown`): [`search`] installs it under its call literal and
+    /// re-solves.
+    abandoned: Option<Vec<Lit>>,
 }
 
 impl TheoryHook for LiaHook<'_> {
     fn check_model(&mut self, sat: &SatSolver) -> TheoryResponse {
         if self.budget.exhausted() {
-            self.budget_stop = true;
             return TheoryResponse::Pause;
         }
-        self.models_checked += 1;
         let mark = self.theory.set_backtrack_point();
         // True literal of each atom under the current assignment, in
         // tag order; cores index into this.
@@ -116,14 +96,138 @@ impl TheoryHook for LiaHook<'_> {
     }
 }
 
-/// Whether the retained offline (rebuild-per-model) oracle is forced
-/// via the `LINARB_SMT_OFFLINE` environment variable. Read once per
-/// process; CI runs the whole suite under both oracle paths with it.
-pub(crate) fn offline_mode() -> bool {
-    static OFFLINE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *OFFLINE.get_or_init(|| {
-        std::env::var("LINARB_SMT_OFFLINE")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false)
-    })
+/// Decides the clauses of `sat` under the assumption literals
+/// `active`, with `theory` judging the polarities of `atoms` at every
+/// complete assignment. `rounds` counts SAT searches.
+///
+/// A theory-`Unknown` abandonment is blocked so the search moves on to
+/// another assignment, but the blocking clause is a search pragma, not
+/// a fact: it is guarded by a **call literal** (made on the first
+/// abandonment and passed as an extra assumption) so it expires when
+/// this call returns, and an eventual boolean `Unsat` is reported as
+/// `Unknown`. Theory conflicts, by contrast, are learned permanently:
+/// an infeasible combination of atom polarities stays infeasible
+/// whatever the assumptions.
+pub(crate) fn search(
+    sat: &mut SatSolver,
+    theory: &mut TheoryLia,
+    atoms: &[(Atom, BVar)],
+    active: &[Lit],
+    budget: &Budget,
+    rounds: &mut u64,
+) -> SmtResult {
+    use linarb_trace::{event, metrics, Level};
+    let mut assumptions: Vec<Lit> = active.to_vec();
+    let mut call_lit: Option<Lit> = None;
+    loop {
+        if budget.exhausted() {
+            event!(Level::Debug, "smt", "smt.budget_exhausted", "rounds" => *rounds);
+            metrics::counter("smt.budget_exhausted", 1);
+            return SmtResult::Unknown;
+        }
+        *rounds += 1;
+        sat.set_conflict_limit(budget.conflict_limit());
+        let mut hook = LiaHook {
+            theory: &mut *theory,
+            atoms,
+            budget,
+            model: None,
+            abandoned: None,
+        };
+        let verdict = sat.solve_with_theory(&assumptions, &mut hook);
+        let LiaHook {
+            model, abandoned, ..
+        } = hook;
+        match verdict {
+            SatResult::Unsat if call_lit.is_none() => return SmtResult::Unsat,
+            SatResult::Unsat | SatResult::Unknown => return SmtResult::Unknown,
+            SatResult::Sat => {
+                if let Some(m) = model {
+                    return SmtResult::Sat(m);
+                }
+                // Paused: either the budget tripped (the loop head
+                // reports it) or the theory abandoned this assignment.
+                if let Some(mut clause) = abandoned {
+                    let cl = *call_lit.get_or_insert_with(|| {
+                        let l = sat.new_var().positive();
+                        assumptions.push(l);
+                        l
+                    });
+                    clause.push(cl.negated());
+                    if !sat.add_clause(&clause) {
+                        return SmtResult::Unknown;
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{check_sat, Budget, IncrementalSolver, SmtResult, TheoryLia, TheoryVerdict};
+    use linarb_arith::int;
+    use linarb_logic::{Atom, Formula, LinExpr, Var};
+
+    fn var(i: u32) -> LinExpr {
+        LinExpr::var(Var::from_index(i))
+    }
+
+    fn c(k: i64) -> LinExpr {
+        LinExpr::constant(int(k))
+    }
+
+    /// `1 <= 3x - 3y - 2z <= 2 ∧ z = 0` over unbounded x, y: rationally
+    /// feasible and integer-infeasible (x - y would lie in [1/3, 2/3]).
+    /// No equality carries the parity argument, so only branch-and-bound
+    /// could refute it, and it gives up at its node limit.
+    fn theory_atoms() -> [Atom; 4] {
+        let e = &(&var(0).scale(&int(3)) - &var(1).scale(&int(3))) - &var(2).scale(&int(2));
+        [
+            Atom::ge(e.clone(), c(1)),
+            Atom::le(e, c(2)),
+            Atom::ge(var(2), c(0)),
+            Atom::le(var(2), c(0)),
+        ]
+    }
+
+    fn undecidable_by_theory() -> Formula {
+        Formula::and(theory_atoms().into_iter().map(Formula::from).collect())
+    }
+
+    #[test]
+    fn theory_gives_up_on_the_abandonment_input() {
+        let mut t = TheoryLia::new();
+        for (tag, a) in theory_atoms().iter().enumerate() {
+            t.assert_atom(a, tag).unwrap();
+        }
+        assert!(matches!(
+            t.check(&Budget::unlimited()),
+            TheoryVerdict::Unknown
+        ));
+    }
+
+    /// An abandoned assignment blocks the search but proves nothing, so
+    /// the search must end `Unknown`, never `Unsat`.
+    #[test]
+    fn abandonment_is_never_reported_unsat() {
+        assert!(matches!(
+            check_sat(&undecidable_by_theory(), &Budget::unlimited()),
+            SmtResult::Unknown
+        ));
+    }
+
+    /// The blocking clause of an abandonment expires with its check: a
+    /// later check of the same guard abandons afresh instead of finding
+    /// the assignment already blocked and answering `Unsat`.
+    #[test]
+    fn abandonment_clause_expires_with_its_check() {
+        let b = Budget::unlimited();
+        let mut s = IncrementalSolver::new();
+        let g1 = s.push_guarded(&undecidable_by_theory());
+        let g2 = s.push_guarded(&Formula::from(Atom::ge(var(0), c(7))));
+        assert!(matches!(s.check(&[g1], &b), SmtResult::Unknown));
+        assert!(s.check(&[g2], &b).is_sat());
+        assert!(matches!(s.check(&[g1], &b), SmtResult::Unknown));
+    }
 }

@@ -265,8 +265,7 @@ impl TheoryLia {
         // backtracking restores bounds, not the assignment — so
         // branching on their fractional leftovers would be pure waste,
         // and unbounded waste at that: nothing forces them integral.
-        // On a fresh context this order equals interning order, so the
-        // offline engine's behavior is unchanged.
+        // On a fresh context this order equals interning order.
         let mut active: Vec<(Var, usize)> = Vec::new();
         let mut seen: std::collections::HashSet<Var> = std::collections::HashSet::new();
         for (a, _) in &self.asserted {

@@ -17,32 +17,20 @@ cargo bench --no-run --offline -p linarb-bench
 echo "== tests (LINARB_THREADS=1) =="
 LINARB_THREADS=1 cargo test -q --offline --workspace
 
-echo "== tests (offline oracle path, LINARB_SMT_OFFLINE=1) =="
-# The whole suite must also hold with the SMT engine forced back to
-# the pre-online rebuild-per-model oracle: the two engines are
-# observationally equivalent, and the offline path stays the reference
-# implementation for the differential gate below.
-LINARB_SMT_OFFLINE=1 cargo test -q --offline --workspace
-
-echo "== tests (seeding disabled, LINARB_NO_SEED=1) =="
-# The whole suite must hold with symbolic seeding forced off: seeding
-# is a heuristic accelerator for the learner, never a soundness or
-# verdict lever, so every test that passes with seeds must pass
-# without them.
-LINARB_NO_SEED=1 cargo test -q --offline --workspace
-
 echo "== seeding differential gate =="
 # Seeded vs unseeded runs must agree on verdicts (with both sat
 # interpretations verifying independently). Repeated here by name so
 # a filtered CI invocation cannot skip it silently.
 cargo test -q --offline -p linarb-bench --test seeding
 
-echo "== online/offline oracle differential gate =="
-# Online DPLL(T) (warm theory inside the search, LBD clause-DB
-# reduction) vs the offline reference oracle: identical verdicts on
-# randomized formulas, incremental lockstep, pooled-conjunction
-# equivalence, and run-to-run determinism with DB reduction on.
-# Repeated by name for the same cannot-skip-silently reason.
+echo "== oracle differential gate (box enumeration reference) =="
+# The online DPLL(T) engine (warm theory inside the search, LBD
+# clause-DB reduction) against exhaustive enumeration of a box, which
+# shares no code with the solver: every sat and unsat verdict on
+# randomized boxed formulas, through check_sat and one long-lived
+# incremental context, plus pooled-conjunction equivalence and
+# run-to-run determinism with DB reduction on. Repeated by name for
+# the same cannot-skip-silently reason.
 cargo test -q --offline -p linarb-bench --test online_oracle_differential
 
 echo "== portfolio differential gate (1 and 4 threads) =="
