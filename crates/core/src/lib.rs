@@ -382,9 +382,11 @@ pub struct SolveStats {
     /// Guarded interpretation instantiations served from a clause
     /// context's cache instead of being re-encoded.
     pub ctx_reuse_hits: usize,
-    /// CDCL clauses learned across all persistent clause contexts
-    /// (zero in [`OracleMode::Fresh`], whose learning is discarded
-    /// after every check).
+    /// CDCL clauses learned across all persistent clause contexts,
+    /// over their lifetimes: a context that starts over keeps its
+    /// totals (zero in [`OracleMode::Fresh`], whose learning is
+    /// discarded after every check). The same holds for
+    /// `simplex_pivots`, `theory_backtracks` and `db_reductions`.
     pub learned_clauses: usize,
     /// Total samples across predicates (the paper's `#S`).
     pub samples: usize,
@@ -401,8 +403,8 @@ pub struct SolveStats {
     /// Clause-database reductions performed by the persistent CDCL
     /// cores.
     pub db_reductions: u64,
-    /// Learned clauses still alive in the CDCL databases after
-    /// reduction (`learned_clauses` is the lifetime total).
+    /// Learned clauses still alive in the live contexts' CDCL databases
+    /// after reduction (`learned_clauses` is the lifetime total).
     pub learned_db_size: usize,
     /// Symbolic seed planes harvested into the seed store (0 with
     /// seeding off).
@@ -462,6 +464,11 @@ impl SolveStats {
 /// under an activation literal and cached here by structural equality;
 /// re-checking the clause under a partially-changed interpretation
 /// re-assumes cached guards and encodes only the genuinely new pieces.
+///
+/// Retracted pieces stay encoded, so the context grows with every
+/// interpretation it has seen. Once a check finds its SAT variable
+/// count past [`ClauseContext::outgrown`]'s bound, it starts over from
+/// its clause.
 struct ClauseContext {
     solver: IncrementalSolver,
     guards: HashMap<Formula, Lit>,
@@ -469,20 +476,85 @@ struct ClauseContext {
     /// before the next check, and if it still witnesses invalidity the
     /// oracle is skipped entirely.
     last_countermodel: Option<Model>,
+    /// Lifetime totals of the solvers this context started over from.
+    retired: OracleTotals,
+}
+
+/// Lifetime oracle totals of one clause context, folded into
+/// [`SolveStats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct OracleTotals {
+    learned_clauses: u64,
+    simplex_pivots: u64,
+    theory_backtracks: u64,
+    db_reductions: u64,
+}
+
+impl OracleTotals {
+    fn of(solver: &IncrementalSolver) -> OracleTotals {
+        OracleTotals {
+            learned_clauses: solver.learned_clauses(),
+            simplex_pivots: solver.num_simplex_pivots(),
+            theory_backtracks: solver.num_theory_backtracks(),
+            db_reductions: solver.num_db_reductions(),
+        }
+    }
+
+    fn add(self, o: OracleTotals) -> OracleTotals {
+        OracleTotals {
+            learned_clauses: self.learned_clauses + o.learned_clauses,
+            simplex_pivots: self.simplex_pivots + o.simplex_pivots,
+            theory_backtracks: self.theory_backtracks + o.theory_backtracks,
+            db_reductions: self.db_reductions + o.db_reductions,
+        }
+    }
 }
 
 impl ClauseContext {
     fn new(clause: &Clause) -> ClauseContext {
+        ClauseContext {
+            solver: Self::fresh_solver(clause),
+            guards: HashMap::new(),
+            last_countermodel: None,
+            retired: OracleTotals::default(),
+        }
+    }
+
+    fn fresh_solver(clause: &Clause) -> IncrementalSolver {
         let mut solver = IncrementalSolver::new();
         solver.assert_permanent(&clause.constraint);
         if let ClauseHead::Goal(g) = &clause.head {
             solver.assert_permanent(&Formula::not(g.clone()));
         }
-        ClauseContext {
-            solver,
-            guards: HashMap::new(),
-            last_countermodel: None,
-        }
+        solver
+    }
+
+    /// Whether the context has outgrown its last check: its SAT
+    /// variable count exceeds 8 × that check's live cone + 512.
+    /// Every retracted piece keeps its gates, atoms and learned clauses
+    /// in the CDCL core and its slack rows in the warm tableau, and
+    /// each check pays for some of that (propagation over the whole
+    /// clause database, branch-and-bound clones of the whole tableau).
+    /// Once the context is far larger than what the check can use, a
+    /// fresh one beats a warm bloated one. The form is that of the
+    /// slack cap it replaces, tuned on an 11-benchmark suite: tighter
+    /// caps forfeit real warm-start wins, an uncapped context times out
+    /// the biggest instances. Keyed on solver state only, never wall
+    /// time, so runs stay deterministic.
+    fn outgrown(&self) -> bool {
+        self.solver.num_vars() > 8 * self.solver.live_cone_len() + 512
+    }
+
+    /// Starts over from `clause`, keeping the lifetime totals.
+    fn restart(&mut self, clause: &Clause) {
+        let old = std::mem::replace(&mut self.solver, Self::fresh_solver(clause));
+        self.retired = self.retired.add(OracleTotals::of(&old));
+        self.guards.clear();
+    }
+
+    /// Lifetime totals, over every solver this context has used.
+    fn totals(&self) -> OracleTotals {
+        self.retired.add(OracleTotals::of(&self.solver))
     }
 }
 
@@ -621,6 +693,10 @@ fn oracle_check_incremental(
         active.push(g);
     }
     let result = ctx.solver.check(&active, budget);
+    if ctx.outgrown() {
+        linarb_trace::metrics::counter("core.ctx_restarts", 1);
+        ctx.restart(clause);
+    }
     if let SmtResult::Sat(m) = &result {
         debug_assert!(
             sys.validity_check(clause, interp).eval(m),
@@ -965,26 +1041,14 @@ impl<'a> CegarSolver<'a> {
         self.stats.samples = self.data.values().map(Dataset::len).sum();
         self.stats.positive_samples =
             self.data.values().map(Dataset::num_positive).sum();
-        self.stats.learned_clauses = self
+        let totals = self
             .contexts
             .values()
-            .map(|c| c.solver.learned_clauses() as usize)
-            .sum();
-        self.stats.simplex_pivots = self
-            .contexts
-            .values()
-            .map(|c| c.solver.num_simplex_pivots())
-            .sum();
-        self.stats.theory_backtracks = self
-            .contexts
-            .values()
-            .map(|c| c.solver.num_theory_backtracks())
-            .sum();
-        self.stats.db_reductions = self
-            .contexts
-            .values()
-            .map(|c| c.solver.num_db_reductions())
-            .sum();
+            .fold(OracleTotals::default(), |t, c| t.add(c.totals()));
+        self.stats.learned_clauses = totals.learned_clauses as usize;
+        self.stats.simplex_pivots = totals.simplex_pivots;
+        self.stats.theory_backtracks = totals.theory_backtracks;
+        self.stats.db_reductions = totals.db_reductions;
         self.stats.learned_db_size = self
             .contexts
             .values()
@@ -1422,6 +1486,59 @@ mod tests {
         "#;
         let (r, _) = solve_text(text);
         assert!(r.is_sat(), "program (a) needs a disjunctive invariant: {r:?}");
+    }
+
+    #[test]
+    fn restarted_context_keeps_lifetime_totals() {
+        // A clause checked under 400 distinct interpretations grows its
+        // context past the restart bound; the lifetime totals folded
+        // into `SolveStats` must never drop across a restart.
+        let sys = parse_chc(
+            "(declare-fun p (Int) Bool)
+             (assert (forall ((x Int) (x1 Int))
+                 (=> (and (p x) (= x1 (+ x 1))) (p x1))))",
+        )
+        .expect("parse");
+        let clause = &sys.clauses()[0];
+        let pred = clause.body_preds[0].pred;
+        let param = LinExpr::var(sys.pred(pred).params[0]);
+        let budget = Budget::unlimited();
+        let mut stats = SolveStats::default();
+        let mut slot = None;
+        let (mut prev, mut prev_vars, mut restarts) = (OracleTotals::default(), 0, 0);
+        for k in 0..400i64 {
+            // x >= k is inductive (an unsat check), x <= k is not.
+            let bound = LinExpr::constant(linarb_arith::int(k));
+            let atom = if k % 2 == 0 {
+                Atom::ge(param.clone(), bound)
+            } else {
+                Atom::le(param.clone(), bound)
+            };
+            let interp: Interpretation = [(pred, Formula::from(atom))].into_iter().collect();
+            let r = oracle_check(
+                &sys,
+                &interp,
+                clause,
+                OracleMode::Incremental,
+                &mut slot,
+                &budget,
+                &mut stats,
+            );
+            assert_eq!(r.is_unsat(), k % 2 == 0, "k = {k}");
+            let ctx = slot.as_ref().expect("context");
+            let t = ctx.totals();
+            assert!(t.learned_clauses >= prev.learned_clauses, "k = {k}");
+            assert!(t.simplex_pivots >= prev.simplex_pivots, "k = {k}");
+            assert!(t.theory_backtracks >= prev.theory_backtracks, "k = {k}");
+            assert!(t.db_reductions >= prev.db_reductions, "k = {k}");
+            if ctx.solver.num_vars() < prev_vars {
+                restarts += 1;
+                assert_ne!(ctx.retired, OracleTotals::default(), "k = {k}");
+            }
+            (prev, prev_vars) = (t, ctx.solver.num_vars());
+        }
+        assert!(restarts >= 1, "the context never started over");
+        assert!(prev.learned_clauses > 0 && prev.simplex_pivots > 0 && prev.theory_backtracks > 0);
     }
 
     #[test]

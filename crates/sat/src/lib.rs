@@ -13,6 +13,10 @@
 //! activity (ties to the lower index), so a decision costs O(log n)
 //! in the number of variables rather than a scan over all of them;
 //! assigned variables leave the heap lazily and return on backtrack.
+//! As in MiniSat's `setDecisionVar`, each variable carries a decision
+//! flag ([`SatSolver::set_decision_var`]): the search branches only on
+//! decision variables and accepts an assignment once every decision
+//! variable is assigned with no conflict.
 //!
 //! # Examples
 //!
@@ -58,6 +62,12 @@ impl BVar {
     /// Raw index.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// The variable with raw index `i`, for a solver that has made at
+    /// least `i + 1` variables.
+    pub fn from_index(i: usize) -> BVar {
+        BVar(i as u32)
     }
 }
 
@@ -250,7 +260,8 @@ impl OrderHeap {
     }
 }
 
-/// Response of a [`TheoryHook`] to a complete boolean assignment.
+/// Response of a [`TheoryHook`] to an assignment that assigns every
+/// decision variable.
 #[derive(Clone, Debug)]
 pub enum TheoryResponse {
     /// The assignment is consistent with the theory: search ends with
@@ -269,11 +280,12 @@ pub enum TheoryResponse {
 }
 
 /// Theory callback for online DPLL(T): consulted by
-/// [`SatSolver::solve_with_theory`] whenever the search reaches a
-/// complete assignment, *before* declaring it a model.
+/// [`SatSolver::solve_with_theory`] whenever the search has every
+/// decision variable assigned with no conflict, *before* declaring the
+/// assignment a model.
 pub trait TheoryHook {
-    /// Judges the solver's current complete assignment (read it with
-    /// [`SatSolver::value`]).
+    /// Judges the solver's current assignment, in which every decision
+    /// variable is assigned (read it with [`SatSolver::value`]).
     fn check_model(&mut self, solver: &SatSolver) -> TheoryResponse;
 }
 
@@ -300,15 +312,18 @@ pub struct SatSolver {
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
-    /// Decision order. Holds every unassigned variable, plus assigned
-    /// ones not yet popped.
+    /// Decision order. Holds every unassigned decision variable, plus
+    /// assigned or no-longer-decision ones not yet popped.
     order: OrderHeap,
+    /// Per-variable decision flag ([`SatSolver::set_decision_var`]).
+    decision: Vec<bool>,
     /// Scratch marks for conflict analysis, all `false` between calls.
     seen: Vec<bool>,
     ok: bool,
     conflict_limit: Option<u64>,
     conflicts: u64,
     propagations: u64,
+    decisions: u64,
     learned: u64,
     /// Learned clauses currently in `clauses`.
     learned_alive: usize,
@@ -359,11 +374,13 @@ impl SatSolver {
             activity: Vec::new(),
             var_inc: 1.0,
             order: OrderHeap::default(),
+            decision: Vec::new(),
             seen: Vec::new(),
             ok: true,
             conflict_limit: None,
             conflicts: 0,
             propagations: 0,
+            decisions: 0,
             learned: 0,
             learned_alive: 0,
             restarts: 0,
@@ -377,10 +394,11 @@ impl SatSolver {
         }
     }
 
-    /// Creates a fresh boolean variable.
+    /// Creates a fresh boolean variable. It is a decision variable.
     pub fn new_var(&mut self) -> BVar {
         let v = BVar(self.assign.len() as u32);
         self.assign.push(0);
+        self.decision.push(true);
         self.phase.push(false);
         self.level.push(0);
         self.reason.push(INVALID);
@@ -405,6 +423,33 @@ impl SatSolver {
     /// Number of unit propagations performed (for statistics).
     pub fn num_propagations(&self) -> u64 {
         self.propagations
+    }
+
+    /// Number of branching decisions made so far (for statistics).
+    /// Assumptions are not decisions.
+    pub fn num_decisions(&self) -> u64 {
+        self.decisions
+    }
+
+    /// Makes `v` a decision variable or not (MiniSat's
+    /// `setDecisionVar`). The search branches only on decision
+    /// variables, so a non-decision variable is assigned only by
+    /// propagation and may stay unassigned in a `Sat` answer. Every
+    /// variable starts as a decision variable. O(log n) per call.
+    ///
+    /// Sound whenever the clauses the caller needs satisfied mention
+    /// only decision variables (and assumptions): once those are all
+    /// assigned with no conflict, each such clause is satisfied.
+    pub fn set_decision_var(&mut self, v: BVar, on: bool) {
+        self.decision[v.index()] = on;
+        if on {
+            self.order.insert(v.0, &self.activity);
+        }
+    }
+
+    /// Whether `v` is a decision variable.
+    pub fn is_decision_var(&self, v: BVar) -> bool {
+        self.decision[v.index()]
     }
 
     /// Number of clauses learned by conflict analysis so far (for
@@ -496,7 +541,7 @@ impl SatSolver {
     }
 
     /// The current value of a variable. After [`SatResult::Sat`], every
-    /// variable is assigned.
+    /// decision variable is assigned.
     pub fn value(&self, v: BVar) -> Option<bool> {
         match self.assign[v.index()] {
             1 => Some(true),
@@ -527,7 +572,9 @@ impl SatSolver {
         for &l in &self.trail[lim..] {
             let v = l.var();
             self.assign[v.index()] = 0;
-            self.order.insert(v.0, &self.activity);
+            if self.decision[v.index()] {
+                self.order.insert(v.0, &self.activity);
+            }
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(level);
@@ -810,11 +857,12 @@ impl SatSolver {
     }
 
     /// Like [`solve_under_assumptions`](Self::solve_under_assumptions),
-    /// but consults `hook` at every complete assignment (online
-    /// DPLL(T)): theory conflicts are learned in-search and the search
-    /// backjumps and continues instead of returning. `Sat` here means
-    /// the hook accepted the final assignment *or* asked for a pause —
-    /// the caller tells those apart from the hook's own state.
+    /// but consults `hook` whenever every decision variable is assigned
+    /// with no conflict (online DPLL(T)): theory conflicts are learned
+    /// in-search and the search backjumps and continues instead of
+    /// returning. `Sat` here means the hook accepted the final
+    /// assignment *or* asked for a pause — the caller tells those apart
+    /// from the hook's own state.
     pub fn solve_with_theory(
         &mut self,
         assumptions: &[Lit],
@@ -834,6 +882,7 @@ impl SatSolver {
             return self.search(assumptions, hook.as_deref_mut());
         }
         let before = (self.conflicts, self.propagations, self.learned, self.restarts);
+        let decisions0 = self.decisions;
         self.lsz_min = u64::MAX;
         self.lsz_max = 0;
         let lsz_sum0 = self.lsz_sum;
@@ -844,8 +893,10 @@ impl SatSolver {
         let d_props = self.propagations - before.1;
         let d_learned = self.learned - before.2;
         let d_restarts = self.restarts - before.3;
+        let d_decisions = self.decisions - decisions0;
         metrics::counter("sat.conflicts", d_conflicts);
         metrics::counter("sat.propagations", d_props);
+        metrics::counter("sat.decisions", d_decisions);
         metrics::counter("sat.restarts", d_restarts);
         metrics::counter("sat.db_reductions", self.db_reductions - reductions0);
         // Distribution (not just the total): how hard individual
@@ -863,6 +914,7 @@ impl SatSolver {
         span.record("result", format!("{result:?}"));
         span.record("conflicts", d_conflicts);
         span.record("propagations", d_props);
+        span.record("decisions", d_decisions);
         span.record("learned", d_learned);
         span.record("restarts", d_restarts);
         result
@@ -901,7 +953,7 @@ impl SatSolver {
     }
 
     /// Installs a theory conflict clause (every literal false under
-    /// the current complete assignment), learns it with its LBD, and
+    /// the current assignment), learns it with its LBD, and
     /// backjumps so the search continues past the refuted assignment.
     /// Returns `false` if the clause set became unsatisfiable.
     fn learn_theory_conflict(&mut self, mut clause: Vec<Lit>) -> bool {
@@ -1022,8 +1074,9 @@ impl SatSolver {
                 // decide
                 match self.pick_branch() {
                     None => {
-                        // Complete assignment: let the theory judge it
-                        // before declaring a model.
+                        // Every decision variable assigned: let the
+                        // theory judge the assignment before declaring
+                        // a model.
                         let response = match hook.as_deref_mut() {
                             None => return SatResult::Sat,
                             Some(h) => h.check_model(self),
@@ -1046,6 +1099,7 @@ impl SatSolver {
                         }
                     }
                     Some(v) => {
+                        self.decisions += 1;
                         self.trail_lim.push(self.trail.len());
                         let lit = v.lit(self.phase[v.index()]);
                         self.enqueue(lit, INVALID);
@@ -1104,11 +1158,12 @@ impl SatSolver {
         core
     }
 
-    /// The unassigned variable with the highest activity, lowest index
-    /// among ties. The caller must assign it: it has left the heap.
+    /// The unassigned decision variable with the highest activity,
+    /// lowest index among ties. The caller must assign it: it has left
+    /// the heap.
     fn pick_branch(&mut self) -> Option<BVar> {
         while let Some(v) = self.order.pop(&self.activity) {
-            if self.assign[v as usize] == 0 {
+            if self.assign[v as usize] == 0 && self.decision[v as usize] {
                 return Some(BVar(v));
             }
         }
@@ -1539,6 +1594,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn decision_restriction_agrees_with_full_search() {
+        // A random CNF over the `core` variables plus a disjoint random
+        // CNF over the `extra` variables, every clause of which is
+        // guarded by ¬g. With g never assumed, a solve that decides
+        // only the core variables must answer as an unrestricted one
+        // (and as brute force over the core), and its `Sat` assignment
+        // must assign every decision variable and satisfy every clause
+        // over them. Flags toggle between calls on the same solver.
+        use linarb_testutil::XorShiftRng;
+        let mut rng = XorShiftRng::seed_from_u64(0xDEC1);
+        let mut restricted_sat = 0;
+        for round in 0..200 {
+            let ncore = rng.gen_range(1..=7usize);
+            let nextra = rng.gen_range(1..=7usize);
+            let mut random_cnf = |lo: usize, n: usize, count: usize| -> Vec<Vec<Lit>> {
+                (0..count)
+                    .map(|_| {
+                        (0..rng.gen_range(1..=3usize))
+                            .map(|_| BVar((lo + rng.gen_range(0..n)) as u32).lit(rng.gen_bool(0.5)))
+                            .collect()
+                    })
+                    .collect()
+            };
+            let core_clauses = random_cnf(0, ncore, 1 + round % 16);
+            let g = BVar((ncore + nextra) as u32);
+            let extra_clauses: Vec<Vec<Lit>> = random_cnf(ncore, nextra, 12)
+                .into_iter()
+                .map(|mut c| {
+                    c.push(g.negative());
+                    c
+                })
+                .collect();
+            let build = || {
+                let mut s = SatSolver::new();
+                for _ in 0..=ncore + nextra {
+                    s.new_var();
+                }
+                for c in core_clauses.iter().chain(&extra_clauses) {
+                    s.add_clause(c);
+                }
+                s
+            };
+            let (mut full, mut part) = (build(), build());
+            for call in 0..4 {
+                let restrict = call != 2;
+                for v in ncore..=ncore + nextra {
+                    part.set_decision_var(BVar(v as u32), !restrict);
+                }
+                let assumptions: Vec<Lit> = (0..rng.gen_range(0..=2usize))
+                    .map(|_| BVar(rng.gen_range(0..ncore) as u32).lit(rng.gen_bool(0.5)))
+                    .collect();
+                let brute = (0..1u32 << ncore).any(|bits| {
+                    let holds = |l: &Lit| (bits >> l.var().index() & 1 == 1) == l.is_positive();
+                    assumptions.iter().all(holds)
+                        && core_clauses.iter().all(|c| c.iter().any(holds))
+                });
+                let rf = full.solve_under_assumptions(&assumptions);
+                let rp = part.solve_under_assumptions(&assumptions);
+                assert_eq!(rf, rp, "round {round} call {call}");
+                assert_eq!(rp == SatResult::Sat, brute, "round {round} call {call}");
+                if rp == SatResult::Sat {
+                    for v in 0..part.num_vars() {
+                        if part.is_decision_var(BVar(v as u32)) {
+                            assert!(part.value(BVar(v as u32)).is_some(), "round {round}: b{v}");
+                        }
+                    }
+                    assert!(model_satisfies(&part, &core_clauses), "round {round}");
+                    if restrict {
+                        restricted_sat += 1;
+                        assert_eq!(part.value(g), None, "round {round}: g was decided");
+                    }
+                }
+            }
+        }
+        assert!(restricted_sat >= 100, "only {restricted_sat} restricted Sat answers");
     }
 
     #[test]

@@ -18,6 +18,15 @@
 //!   search with the active guards as assumption literals, so learned
 //!   clauses, VSIDS activity, saved phases, watcher state, and the
 //!   warm simplex tableau all carry over to the next check.
+//! * **Live cones.** Each assertion's cone (its Tseitin gates and atoms,
+//!   [`Encoder::cone`]) is kept: one for the permanent assertions and
+//!   one per guard. A check makes the permanent cone plus the active
+//!   guards' cones the CDCL core's decision variables, and hands the
+//!   theory exactly that set's atoms. Variables that occur only in
+//!   retracted formulas are never branched on. This is sound because
+//!   the clauses of the formulas in force mention only cone variables
+//!   (and the assumed guards), so once those are all assigned with no
+//!   conflict, every such clause holds.
 //!
 //! Learned clauses are consequences of the *clause set* only — never
 //! of the assumptions — so lemmas derived while one interpretation was
@@ -41,7 +50,7 @@ use crate::tseitin::Encoder;
 use crate::{lower_mods_from, online, SmtResult};
 use linarb_logic::{Atom, Formula};
 use linarb_sat::{BVar, Lit};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// First fresh variable index for lowered `Mod` atoms. High enough to
 /// stay clear of any program variable the caller will ever mention;
@@ -62,15 +71,18 @@ pub struct IncrementalSolver {
     /// Monotone supply of fresh `Var` indices for mod-lowering: shared
     /// across all asserts so two formulas never collide.
     next_fresh: u32,
-    /// Atom variables mentioned by permanent assertions.
-    permanent_atoms: HashSet<BVar>,
-    /// Atom variables mentioned by each guarded assertion. A check only
-    /// hands the theory solver atoms *relevant* to it — permanent plus
-    /// active-guard atoms — because the SAT core assigns arbitrary
-    /// polarities to atoms that occur solely in retracted formulas, and
-    /// feeding those to the theory both wastes branch-and-bound effort
-    /// and (worse) grows blocking clauses over irrelevant literals.
-    guard_atoms: HashMap<Lit, Vec<BVar>>,
+    /// Cone of the permanent assertions, ascending and duplicate-free.
+    permanent_cone: Vec<BVar>,
+    /// Cone of each guarded assertion, ascending.
+    guard_cones: HashMap<Lit, Vec<BVar>>,
+    /// Decision variables of the last check. Every variable made since
+    /// (index `vars_at_last_check` and up) is a decision variable too,
+    /// the SAT core's default.
+    decision_vars: Vec<BVar>,
+    vars_at_last_check: usize,
+    /// Scratch membership marks over variables, all `false` between
+    /// checks.
+    in_cone: Vec<bool>,
     checks: u64,
 }
 
@@ -87,8 +99,11 @@ impl IncrementalSolver {
             enc: Encoder::new(),
             theory: TheoryLia::new(),
             next_fresh: FRESH_VAR_BASE,
-            permanent_atoms: HashSet::new(),
-            guard_atoms: HashMap::new(),
+            permanent_cone: Vec::new(),
+            guard_cones: HashMap::new(),
+            decision_vars: Vec::new(),
+            vars_at_last_check: 0,
+            in_cone: Vec::new(),
             checks: 0,
         }
     }
@@ -97,35 +112,18 @@ impl IncrementalSolver {
         lower_mods_from(f, &mut self.next_fresh).simplify()
     }
 
-    /// Atom variables of a prepared (mod-free) formula, interning as
-    /// needed. Walks the structure rather than hooking `encode`, which
-    /// short-circuits on hash-consed subformulas.
-    fn atom_vars_of(&mut self, f: &Formula, out: &mut Vec<BVar>) {
-        match f {
-            Formula::Atom(a) => out.push(self.enc.atom_lit(a).var()),
-            Formula::Not(g) => self.atom_vars_of(g, out),
-            Formula::And(fs) | Formula::Or(fs) => {
-                for g in fs {
-                    self.atom_vars_of(g, out);
-                }
-            }
-            Formula::True | Formula::False => {}
-            Formula::Mod(_) => unreachable!("prepared formulas are mod-free"),
-        }
-    }
-
     /// Asserts `f` unconditionally: it holds in every subsequent
     /// [`check`](Self::check), forever.
     pub fn assert_permanent(&mut self, f: &Formula) {
         use linarb_trace::{event, Level};
         let f = self.prepare(f);
-        let mut atoms = Vec::new();
-        self.atom_vars_of(&f, &mut atoms);
-        self.permanent_atoms.extend(atoms);
         let clauses0 = self.enc.sat.num_clauses();
         let vars0 = self.enc.sat.num_vars();
         let root = self.enc.encode(&f);
         self.enc.sat.add_clause(&[root]);
+        self.permanent_cone.extend(self.enc.cone(root));
+        self.permanent_cone.sort_unstable();
+        self.permanent_cone.dedup();
         event!(Level::Trace, "smt", "inc.assert_permanent",
             "new_clauses" => self.enc.sat.num_clauses() - clauses0,
             "new_vars" => self.enc.sat.num_vars() - vars0);
@@ -138,14 +136,12 @@ impl IncrementalSolver {
     pub fn push_guarded(&mut self, f: &Formula) -> Lit {
         use linarb_trace::{event, Level};
         let f = self.prepare(f);
-        let mut atoms = Vec::new();
-        self.atom_vars_of(&f, &mut atoms);
         let clauses0 = self.enc.sat.num_clauses();
         let vars0 = self.enc.sat.num_vars();
         let act = self.enc.sat.new_var().positive();
         let root = self.enc.encode(&f);
         self.enc.sat.add_clause(&[act.negated(), root]);
-        self.guard_atoms.insert(act, atoms);
+        self.guard_cones.insert(act, self.enc.cone(root));
         event!(Level::Trace, "smt", "inc.push_guarded",
             "new_clauses" => self.enc.sat.num_clauses() - clauses0,
             "new_vars" => self.enc.sat.num_vars() - vars0);
@@ -175,55 +171,78 @@ impl IncrementalSolver {
         result
     }
 
-    fn check_inner(&mut self, active: &[Lit], budget: &Budget, rounds: &mut u64) -> SmtResult {
-        self.checks += 1;
-        // Atoms this check's formulas actually mention; atoms occurring
-        // only in retracted guarded formulas are invisible to the
-        // theory (their SAT polarities are unconstrained noise).
-        // Selected once per check — the search rounds only read their
-        // values.
-        let mut relevant: HashSet<BVar> = self.permanent_atoms.clone();
+    /// The live cone of a check under `active`: the permanent cone plus
+    /// the active guards' cones, ascending and duplicate-free.
+    fn live_cone(&self, active: &[Lit]) -> Vec<BVar> {
+        let mut cone = self.permanent_cone.clone();
         for g in active {
-            if let Some(atoms) = self.guard_atoms.get(g) {
-                relevant.extend(atoms.iter().copied());
+            if let Some(c) = self.guard_cones.get(g) {
+                cone.extend_from_slice(c);
             }
         }
-        let relevant_atoms: Vec<(Atom, BVar)> = self
-            .enc
-            .atoms()
-            .filter(|(_, v)| relevant.contains(v))
-            .map(|(a, v)| (a.clone(), v))
-            .collect();
-        // Slack rows interned inside popped frames persist (bound-free
-        // slacks are semantically inert), so a context kept across
-        // CEGAR iterations accretes one row per candidate atom it has
-        // ever seen, and every simplex check pays for the whole
-        // tableau (branch-and-bound clones it per node). Keep the warm
-        // tableau while it stays commensurate with what *this* check
-        // can use; once it has clearly outgrown the live atom set, a
-        // fresh small tableau beats a warm bloated one. The factor was
-        // tuned on an 11-benchmark suite: tighter caps forfeit real
-        // warm-start wins, an uncapped context times out the biggest
-        // instances. Keyed on solver state only — never wall time — to
-        // preserve cross-thread determinism.
-        let slack_cap = 8 * relevant_atoms.len() + 512;
-        if self.theory.num_slacks() > slack_cap {
-            let (bt, bn, pv) = (
-                self.theory.num_backtracks(),
-                self.theory.num_branch_nodes(),
-                self.theory.num_pivots(),
-            );
-            self.theory = TheoryLia::new();
-            self.theory.restore_stats(bt, bn, pv);
+        cone.sort_unstable();
+        cone.dedup();
+        cone
+    }
+
+    /// Number of variables in the last check's live cone, its decision
+    /// set (0 before the first check).
+    pub fn live_cone_len(&self) -> usize {
+        self.decision_vars.len()
+    }
+
+    /// Makes `cone` the CDCL core's decision variables, toggling only
+    /// the flags that change: the last check's decision variables and
+    /// the variables made since.
+    fn set_decision_vars(&mut self, cone: Vec<BVar>) {
+        let sat = &mut self.enc.sat;
+        let n = sat.num_vars();
+        self.in_cone.resize(n, false);
+        for &v in &cone {
+            self.in_cone[v.index()] = true;
         }
+        let fresh = (self.vars_at_last_check..n).map(BVar::from_index);
+        for v in self.decision_vars.iter().copied().chain(fresh) {
+            if !self.in_cone[v.index()] {
+                sat.set_decision_var(v, false);
+            }
+        }
+        for &v in &cone {
+            if !sat.is_decision_var(v) {
+                sat.set_decision_var(v, true);
+            }
+            self.in_cone[v.index()] = false;
+        }
+        self.decision_vars = cone;
+        self.vars_at_last_check = n;
+    }
+
+    fn check_inner(&mut self, active: &[Lit], budget: &Budget, rounds: &mut u64) -> SmtResult {
+        self.checks += 1;
+        let cone = self.live_cone(active);
+        // The theory sees the live cone's atoms, in variable-index
+        // order (the order fixes its assertion sequence, and with it
+        // its cores and models); atoms occurring only in retracted
+        // formulas are never decided and mean nothing to it.
+        let atoms: Vec<(Atom, BVar)> = cone
+            .iter()
+            .filter_map(|&v| self.enc.atom_of(v).map(|a| (a.clone(), v)))
+            .collect();
+        self.set_decision_vars(cone);
         online::search(
             &mut self.enc.sat,
             &mut self.theory,
-            &relevant_atoms,
+            &atoms,
             active,
             budget,
             rounds,
         )
+    }
+
+    /// Number of SAT variables in this context: every gate, atom and
+    /// activation literal it has ever made.
+    pub fn num_vars(&self) -> usize {
+        self.enc.sat.num_vars()
     }
 
     /// Total clauses the persistent CDCL core has learned over the
@@ -399,6 +418,35 @@ mod tests {
         assert!(s.check(&[g1, g2], &b()).is_sat());
         assert!(s.check(&[g2], &b()).is_sat());
         assert_eq!(s.num_atoms(), atoms_after_first, "atom table is stable");
+    }
+
+    #[test]
+    fn retracted_guards_are_never_branched_on() {
+        // 200 guarded disjunctions, each checked once and then
+        // retracted, leave ~800 variables behind. A check of one small
+        // guard decides only within its live cone.
+        let mut s = IncrementalSolver::new();
+        s.assert_permanent(&Formula::from(Atom::ge(x(), c(0))));
+        for i in 0..200 {
+            let vi = LinExpr::var(v(10 + i));
+            let g = s.push_guarded(&Formula::or(vec![
+                Formula::from(Atom::ge(vi.clone(), c(i as i64))),
+                Formula::from(Atom::le(&vi + &x(), c(-(i as i64)))),
+            ]));
+            assert!(s.check(&[g], &b()).is_sat());
+        }
+        assert!(s.num_vars() >= 800, "{} variables", s.num_vars());
+        let small = Formula::or(vec![
+            Formula::from(Atom::le(x(), c(3))),
+            Formula::from(Atom::ge(y(), c(9))),
+        ]);
+        let g = s.push_guarded(&small);
+        let decisions0 = s.enc.sat.num_decisions();
+        assert!(s.check(&[g], &b()).is_sat());
+        let cone = s.live_cone_len();
+        assert!(cone <= 4, "cone of {cone} variables");
+        let decisions = s.enc.sat.num_decisions() - decisions0;
+        assert!(decisions <= cone as u64, "{decisions} decisions over a cone of {cone}");
     }
 
     #[test]

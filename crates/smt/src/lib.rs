@@ -14,10 +14,10 @@
 //!
 //! Architecture: online DPLL(T). Formulas are Tseitin-encoded into the
 //! CDCL solver from `linarb-sat`, which consults an exact rational
-//! simplex with branch-and-bound for integrality ([`TheoryLia`]) at
-//! every complete assignment *inside* its search; theory conflicts are
-//! learned as clauses on the spot and the search backjumps, with the
-//! theory's tableau kept warm across assignments.
+//! simplex with branch-and-bound for integrality ([`TheoryLia`])
+//! whenever every decision variable is assigned *inside* its search;
+//! theory conflicts are learned as clauses on the spot and the search
+//! backjumps, with the theory's tableau kept warm across assignments.
 //!
 //! # Examples
 //!

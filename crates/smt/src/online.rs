@@ -3,12 +3,12 @@
 //! core's theory hook ([`linarb_sat::TheoryHook`]) to the LIA theory
 //! context through its push/pop trail.
 //!
-//! The theory context is long-lived: every complete boolean assignment
-//! is judged inside the SAT search under a backtrack mark, theory
-//! conflicts become learned clauses on the spot (the search backjumps
-//! instead of restarting), and the simplex tableau — rows, interned
-//! slack columns, and the current basis — stays warm from one frame to
-//! the next. The outer loop re-enters the SAT search only after the
+//! The theory context is long-lived: every boolean assignment that
+//! assigns each decision variable is judged inside the SAT search
+//! under a backtrack mark, theory conflicts become learned clauses on
+//! the spot (the search backjumps instead of restarting), and the
+//! simplex tableau — rows, interned slack columns, and the current
+//! basis — stays warm from one frame to the next. The outer loop re-enters the SAT search only after the
 //! theory abandoned an assignment it could not decide (`Unknown`).
 //!
 //! [`check_sat`]: crate::check_sat
@@ -22,10 +22,10 @@ use linarb_sat::{BVar, Lit, SatResult, SatSolver, TheoryHook, TheoryResponse};
 
 /// The literal↔atom bridge handed to [`SatSolver::solve_with_theory`].
 ///
-/// At every complete boolean assignment it pushes a theory frame,
-/// asserts the induced atom polarities in variable-index order (the
-/// index doubling as the theory tag), asks for a verdict, and pops the
-/// frame — leaving the tableau warm for the next frame.
+/// Whenever every decision variable is assigned it pushes a theory
+/// frame, asserts the induced atom polarities in variable-index order
+/// (the index doubling as the theory tag), asks for a verdict, and pops
+/// the frame — leaving the tableau warm for the next frame.
 struct LiaHook<'a> {
     theory: &'a mut TheoryLia,
     /// Atom ↔ boolean-variable map fixing the assertion order; the
@@ -51,7 +51,7 @@ impl TheoryHook for LiaHook<'_> {
         let mut lits: Vec<Lit> = Vec::with_capacity(self.atoms.len());
         let mut early: Option<Vec<usize>> = None;
         for (tag, (a, v)) in self.atoms.iter().enumerate() {
-            let value = sat.value(*v).expect("full assignment");
+            let value = sat.value(*v).expect("atoms are decision variables");
             lits.push(v.lit(value));
             let atom = if value { a.clone() } else { a.negate() };
             if let Err(c) = self.theory.assert_atom(&atom, tag) {
@@ -97,8 +97,9 @@ impl TheoryHook for LiaHook<'_> {
 }
 
 /// Decides the clauses of `sat` under the assumption literals
-/// `active`, with `theory` judging the polarities of `atoms` at every
-/// complete assignment. `rounds` counts SAT searches.
+/// `active`, with `theory` judging the polarities of `atoms` whenever
+/// every decision variable is assigned; `atoms` must all be decision
+/// variables. `rounds` counts SAT searches.
 ///
 /// A theory-`Unknown` abandonment is blocked so the search moves on to
 /// another assignment, but the blocking clause is a search pragma, not

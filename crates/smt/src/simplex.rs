@@ -169,12 +169,6 @@ impl Simplex {
         self.pivots
     }
 
-    /// Re-seeds the pivot counter when a pool owner rebuilds the
-    /// tableau, keeping the lifetime total monotone.
-    pub(crate) fn restore_pivots(&mut self, pivots: u64) {
-        self.pivots = pivots;
-    }
-
     /// Number of columns in the tableau (structural + slack).
     pub fn num_cols(&self) -> usize {
         self.beta.len()

@@ -124,15 +124,6 @@ impl TheoryLia {
         self.backtracks
     }
 
-    /// Re-seeds the monotone statistics counters after a pool owner
-    /// rebuilds an accreted context, so lifetime totals survive the
-    /// rebuild.
-    pub(crate) fn restore_stats(&mut self, backtracks: u64, branch_nodes: u64, pivots: u64) {
-        self.backtracks = backtracks;
-        self.branch_nodes = branch_nodes;
-        self.simplex.restore_pivots(pivots);
-    }
-
     /// Number of interned slack rows. Owners of a pooled context use
     /// this to decide when an accreting context is worth rebuilding
     /// from scratch.
@@ -546,24 +537,25 @@ mod tests {
 
     #[test]
     fn integer_infeasible_detected() {
-        // 0 <= 3x - 3y - 1 <= 1 has rational solutions (x-y in [1/3, 2/3])
-        // but no integer ones.
+        // 3x - 3y - 2z = 1 ∧ z = 0 has rational solutions (x - y = 1/3)
+        // but no integer ones. The 2z term keeps gcd-tightening of the
+        // single row from seeing it.
         let e = &x().scale(&int(3)) - &y().scale(&int(3));
         let mut t = TheoryLia::new();
-        // Use non-normalized combination to defeat gcd-tightening:
-        // 3x - 3y - 2z = 1 and z = 0 forces x - y = 1/3.
         let z = LinExpr::var(v(2));
         let e2 = &e - &z.scale(&int(2));
         t.assert_atom(&Atom::le(e2.clone(), c(1)), 0).unwrap();
         t.assert_atom(&Atom::ge(e2.clone(), c(1)), 1).unwrap();
         t.assert_atom(&Atom::le(z.clone(), c(0)), 2).unwrap();
         t.assert_atom(&Atom::ge(z, c(0)), 3).unwrap();
-        // With x and y unbounded, pure branch-and-bound cannot refute
-        // 3(x-y) = 1: it must answer Unknown at the node limit. With
-        // bounds on x it becomes a finite search and must be refuted.
+        // With x and y unbounded, branch-and-bound alone could not
+        // refute 3(x-y) = 1, but the equalities carry the argument:
+        // the diophantine check refutes them without branching. (The
+        // `Unknown` give-up path is pinned by `online::tests`.) With
+        // bounds on x it is also a finite search, and must be refuted.
         match t.check(&Budget::unlimited()) {
-            TheoryVerdict::Infeasible { .. } | TheoryVerdict::Unknown => {}
-            other => panic!("expected infeasible/unknown, got {other:?}"),
+            TheoryVerdict::Infeasible { .. } => {}
+            other => panic!("expected infeasible, got {other:?}"),
         }
         let mut t2 = TheoryLia::new();
         let e3 = &(&x().scale(&int(3)) - &y().scale(&int(3))) - &LinExpr::var(v(2)).scale(&int(2));

@@ -2,7 +2,18 @@
 
 use linarb_logic::{Atom, Formula};
 use linarb_sat::{BVar, Lit, SatSolver};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+
+/// What the encoder made a variable for.
+#[derive(Clone, Debug)]
+enum Node {
+    /// A variable the encoder did not make (e.g. an activation literal).
+    Foreign,
+    /// An atom: its index in `atom_order`.
+    Atom(usize),
+    /// A Tseitin gate over these inputs (none for `True`/`False`).
+    Gate(Box<[Lit]>),
+}
 
 /// Encodes [`Formula`]s into a [`SatSolver`], maintaining the mapping
 /// between linear atoms and boolean variables.
@@ -16,6 +27,12 @@ use std::collections::HashMap;
 /// re-asserts a predicate interpretation that only partially changed —
 /// reuses the existing gates and their clauses instead of growing the
 /// solver.
+///
+/// The encoder also reports each encoded formula's *cone*
+/// ([`cone`](Self::cone)): the gate and atom variables it reaches.
+/// Every clause the encoder adds for a gate mentions only that gate's
+/// cone, which is what lets an incremental context branch on the
+/// cones of the formulas in force and nothing else.
 #[derive(Clone, Debug, Default)]
 pub struct Encoder {
     /// The underlying SAT solver.
@@ -27,6 +44,8 @@ pub struct Encoder {
     /// DPLL(T) round.
     atom_order: Vec<(Atom, BVar)>,
     formula_lits: HashMap<Formula, Lit>,
+    /// What each variable is, indexed by variable.
+    nodes: Vec<Node>,
 }
 
 impl Encoder {
@@ -37,7 +56,15 @@ impl Encoder {
             atom_vars: HashMap::new(),
             atom_order: Vec::new(),
             formula_lits: HashMap::new(),
+            nodes: Vec::new(),
         }
+    }
+
+    fn set_node(&mut self, v: BVar, node: Node) {
+        if self.nodes.len() <= v.index() {
+            self.nodes.resize(v.index() + 1, Node::Foreign);
+        }
+        self.nodes[v.index()] = node;
     }
 
     /// The literal representing `atom` (allocating a variable for its
@@ -58,6 +85,7 @@ impl Encoder {
             Some(&v) => v,
             None => {
                 let v = self.sat.new_var();
+                self.set_node(v, Node::Atom(self.atom_order.len()));
                 self.atom_order.push((canonical.clone(), v));
                 self.atom_vars.insert(canonical, v);
                 v
@@ -86,11 +114,13 @@ impl Encoder {
         let out = match f {
             Formula::True => {
                 let v = self.sat.new_var();
+                self.set_node(v, Node::Gate(Box::new([])));
                 self.sat.add_clause(&[v.positive()]);
                 v.positive()
             }
             Formula::False => {
                 let v = self.sat.new_var();
+                self.set_node(v, Node::Gate(Box::new([])));
                 self.sat.add_clause(&[v.positive()]);
                 v.negative()
             }
@@ -105,6 +135,7 @@ impl Encoder {
                 let mut clause: Vec<Lit> = lits.iter().map(|l| l.negated()).collect();
                 clause.push(out);
                 self.sat.add_clause(&clause);
+                self.set_node(out.var(), Node::Gate(lits.into()));
                 out
             }
             Formula::Or(fs) => {
@@ -118,6 +149,7 @@ impl Encoder {
                 let mut clause: Vec<Lit> = lits.clone();
                 clause.push(out.negated());
                 self.sat.add_clause(&clause);
+                self.set_node(out.var(), Node::Gate(lits.into()));
                 out
             }
             Formula::Atom(_) | Formula::Mod(_) | Formula::Not(_) => unreachable!(),
@@ -134,6 +166,33 @@ impl Encoder {
     /// to run.
     pub fn atoms(&self) -> impl Iterator<Item = (&Atom, BVar)> + '_ {
         self.atom_order.iter().map(|(a, v)| (a, *v))
+    }
+
+    /// The cone of `root` (a literal [`encode`](Self::encode) returned):
+    /// the variables of every gate and atom reachable from it, in
+    /// ascending index order.
+    pub fn cone(&self, root: Lit) -> Vec<BVar> {
+        let mut seen: HashSet<BVar> = HashSet::new();
+        let mut stack = vec![root.var()];
+        while let Some(v) = stack.pop() {
+            if !seen.insert(v) {
+                continue;
+            }
+            if let Some(Node::Gate(inputs)) = self.nodes.get(v.index()) {
+                stack.extend(inputs.iter().map(|l| l.var()));
+            }
+        }
+        let mut cone: Vec<BVar> = seen.into_iter().collect();
+        cone.sort_unstable();
+        cone
+    }
+
+    /// The atom variable `v` stands for, if the encoder made it for one.
+    pub fn atom_of(&self, v: BVar) -> Option<&Atom> {
+        match self.nodes.get(v.index()) {
+            Some(Node::Atom(i)) => Some(&self.atom_order[*i].0),
+            _ => None,
+        }
     }
 
     /// Number of distinct canonical atoms registered.
@@ -208,6 +267,31 @@ mod tests {
         let before = enc.num_subformulas();
         enc.encode(&g);
         assert_eq!(enc.num_subformulas(), before + 1, "only the new Or gate");
+    }
+
+    #[test]
+    fn cone_covers_every_clause_of_its_gates() {
+        // Two formulas sharing an And gate: each cone holds its own
+        // gates and atoms, and the shared gate sits in both.
+        let mut enc = Encoder::new();
+        let shared = Formula::and(vec![le(0, 1), le(1, 1)]);
+        let f = Formula::or(vec![shared.clone(), le(2, 5)]);
+        let g = Formula::or(vec![shared.clone(), Formula::not(le(3, 0))]);
+        let (rf, rg) = (enc.encode(&f), enc.encode(&g));
+        let (cf, cg) = (enc.cone(rf), enc.cone(rg));
+        let atoms = |c: &[BVar]| c.iter().filter(|&&v| enc.atom_of(v).is_some()).count();
+        assert_eq!((cf.len(), atoms(&cf)), (5, 3), "{cf:?}");
+        assert_eq!((cg.len(), atoms(&cg)), (5, 3), "{cg:?}");
+        let both: Vec<&BVar> = cf.iter().filter(|v| cg.contains(v)).collect();
+        assert_eq!(both.len(), 3, "the shared And gate and its two atoms");
+        assert!(cf.windows(2).all(|w| w[0] < w[1]), "ascending order");
+        // The cone of a bare atom is that atom.
+        let ra = enc.encode(&le(4, 2));
+        assert_eq!(enc.cone(ra), vec![ra.var()]);
+        assert_eq!(enc.atom_of(ra.var()), Some(&Atom::le(
+            LinExpr::var(Var::from_index(4)),
+            LinExpr::constant(int(2)),
+        )));
     }
 
     #[test]

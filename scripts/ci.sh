@@ -143,6 +143,8 @@ for target in core smt sat ml; do
 done
 grep -q '"kind":"metrics_report"' "$trace_out" \
     || { echo "trace smoke: missing metrics report trailer" >&2; exit 1; }
+grep -q '"sat.decisions"' "$trace_out" \
+    || { echo "trace smoke: metrics report lacks sat.decisions" >&2; exit 1; }
 rm -f "$trace_out"
 
 echo "== profiler smoke (hierarchical self-profile of one benchmark) =="
