@@ -73,7 +73,7 @@ fn unroll(
     budget: &Budget,
 ) -> (Formula, ShadowNode) {
     let shadow = ShadowNode { pred, args: args.to_vec(), candidates: Vec::new() };
-    if depth == 0 || *nodes > 200_000 || budget.should_stop() {
+    if depth == 0 || *nodes > 200_000 || budget.exhausted() {
         return (Formula::False, shadow);
     }
     *nodes += 1;

@@ -33,7 +33,7 @@ impl DigLearner {
     }
 
     fn stopped(&self) -> bool {
-        self.budget.as_ref().is_some_and(Budget::should_stop)
+        self.budget.as_ref().is_some_and(Budget::exhausted)
     }
 }
 

@@ -103,18 +103,12 @@ pub struct UnwindInterp<'a> {
     sys: &'a ChcSystem,
     config: InterpConfig,
     candidate: HashMap<PredId, Vec<Atom>>,
-    traces_seen: usize,
 }
 
 impl<'a> UnwindInterp<'a> {
     /// Creates an engine for `sys`.
     pub fn new(sys: &'a ChcSystem, config: InterpConfig) -> UnwindInterp<'a> {
-        UnwindInterp { sys, config, candidate: HashMap::new(), traces_seen: 0 }
-    }
-
-    /// Traces enumerated so far (statistics).
-    pub fn num_traces(&self) -> usize {
-        self.traces_seen
+        UnwindInterp { sys, config, candidate: HashMap::new() }
     }
 
     /// Expands a predicate application into all bounded derivations,
@@ -131,7 +125,7 @@ impl<'a> UnwindInterp<'a> {
     ) -> Vec<Trace> {
         let mut out = Vec::new();
         for mut build in builds {
-            if budget.should_stop() {
+            if budget.exhausted() {
                 return out; // caller notices exhaustion and aborts
             }
             if depth == 0 {
@@ -194,7 +188,7 @@ impl<'a> UnwindInterp<'a> {
     fn traces_at(&mut self, depth: usize, budget: &Budget) -> Vec<Trace> {
         let mut all = Vec::new();
         for clause in self.sys.clauses() {
-            if !clause.is_query() || budget.should_stop() {
+            if !clause.is_query() || budget.exhausted() {
                 continue;
             }
             let mut fresh = FreshVars::for_system(self.sys);
@@ -313,7 +307,6 @@ impl<'a> UnwindInterp<'a> {
                 if budget.exhausted() {
                     return InterpResult::Unknown;
                 }
-                self.traces_seen += 1;
                 match check_conjunction(&trace.atoms, budget) {
                     ConjunctionResult::Sat(_) => return InterpResult::Unsat { depth },
                     ConjunctionResult::Unknown => return InterpResult::Unknown,

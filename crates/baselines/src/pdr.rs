@@ -172,7 +172,7 @@ impl<'a> PdrSolver<'a> {
         budget: &Budget,
     ) -> Result<Option<(ClauseId, crate::util::ClauseInstance, Model)>, ()> {
         for clause in self.sys.clauses() {
-            if budget.should_stop() {
+            if budget.exhausted() {
                 return Err(());
             }
             let happ = match &clause.head {
@@ -271,7 +271,7 @@ impl<'a> PdrSolver<'a> {
         let mut current = cube;
         let mut i = 0;
         while i < current.len() {
-            if current.len() == 1 || budget.should_stop() {
+            if current.len() == 1 || budget.exhausted() {
                 break;
             }
             let mut candidate = current.clone();
@@ -399,7 +399,7 @@ impl<'a> PdrSolver<'a> {
                 for p in preds {
                     let cubes = self.frames[i][&p].clone();
                     for cube in cubes {
-                        if budget.should_stop() {
+                        if budget.exhausted() {
                             return PdrResult::Unknown;
                         }
                         if self.frames[i + 1]

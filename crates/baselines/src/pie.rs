@@ -53,7 +53,7 @@ impl PieLearner {
     }
 
     fn stopped(&self) -> bool {
-        self.budget.as_ref().is_some_and(Budget::should_stop)
+        self.budget.as_ref().is_some_and(Budget::exhausted)
     }
     /// Enumerates the feature atoms for a dataset: `±xᵢ ≤ c` and
     /// (optionally) `±xᵢ ± xⱼ ≤ c`, with `c` drawn from the projected

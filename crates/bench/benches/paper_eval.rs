@@ -14,8 +14,9 @@
 //!   `fig8a,fig8b,fig8c,fig8d,scale,ablation` (default: all).
 
 use linarb_bench::{
-    characterize, default_timeout, env_or, run_suite, subsample, Engine, RunOutcome,
+    characterize, default_timeout, env_or, paper_name, run_suite, subsample, RunOutcome,
 };
+use linarb_portfolio::EngineKind;
 use linarb_suite::Benchmark;
 use std::time::Duration;
 
@@ -31,12 +32,12 @@ fn fmt_time(t: Duration, solved: bool) -> String {
 fn scatter(
     title: &str,
     suite: &[Benchmark],
-    a: Engine,
-    b: Engine,
+    a: EngineKind,
+    b: EngineKind,
     timeout: Duration,
 ) -> (Vec<RunOutcome>, Vec<RunOutcome>) {
     println!("\n=== {title} ===");
-    println!("{:<24} {:>14} {:>14}", "benchmark", a.name(), b.name());
+    println!("{:<24} {:>14} {:>14}", "benchmark", paper_name(a), paper_name(b));
     let (oa, sa) = run_suite(a, suite, timeout);
     let (ob, sb) = run_suite(b, suite, timeout);
     for ((bench, ra), rb) in suite.iter().zip(&oa).zip(&ob) {
@@ -49,11 +50,11 @@ fn scatter(
     }
     println!(
         "summary: {} solved {}/{} (mean {:.3}s) | {} solved {}/{} (mean {:.3}s) | wrong: {}/{}",
-        a.name(),
+        paper_name(a),
         sa.solved,
         sa.total,
         sa.mean_time_solved().as_secs_f64(),
-        b.name(),
+        paper_name(b),
         sb.solved,
         sb.total,
         sb.mean_time_solved().as_secs_f64(),
@@ -107,8 +108,8 @@ fn main() {
         scatter(
             "Fig. 8(a)  Learning vs Enumeration (PIE)   [paper: LinearArbitrary ~10x faster]",
             &suite,
-            Engine::LinArb,
-            Engine::Pie,
+            EngineKind::Cegar,
+            EngineKind::Pie,
             timeout,
         );
         // The 31.c / 33.c style characterization rows: the two hardest
@@ -125,8 +126,8 @@ fn main() {
         scatter(
             "Fig. 8(b)  Learning vs Template (DIG)   [paper: DIG times out on disjunctive]",
             &suite,
-            Engine::LinArb,
-            Engine::Dig,
+            EngineKind::Cegar,
+            EngineKind::Dig,
             timeout,
         );
         let mut hard: Vec<Benchmark> = suite
@@ -147,8 +148,8 @@ fn main() {
         scatter(
             "Fig. 8(c)  Learning vs PDR (Spacer)   [paper: Spacer faster when it finishes, solves fewer]",
             &suite,
-            Engine::LinArb,
-            Engine::Spacer,
+            EngineKind::Cegar,
+            EngineKind::Spacer,
             timeout,
         );
         println!("\n--- Solver comparison table (paper: 381 total | GPDR 300 | Spacer 303 | Duality 309 | LinearArbitrary 368) ---");
@@ -156,11 +157,12 @@ fn main() {
             "{:<22} {:>8} {:>8} {:>8} {:>12}",
             "engine", "solved", "total", "wrong", "mean-time"
         );
-        for engine in [Engine::Gpdr, Engine::Spacer, Engine::Duality, Engine::LinArb] {
+        use EngineKind::{Cegar, Duality, Gpdr, Spacer};
+        for engine in [Gpdr, Spacer, Duality, Cegar] {
             let (_, s) = run_suite(engine, &suite, timeout);
             println!(
                 "{:<22} {:>8} {:>8} {:>8} {:>11.3}s",
-                engine.name(),
+                paper_name(engine),
                 s.solved,
                 s.total,
                 s.wrong,
@@ -175,8 +177,8 @@ fn main() {
         scatter(
             "Fig. 8(d)  Learning vs Interpolation (UAutomizer)   [paper: 126 vs 111 of 135]",
             &suite,
-            Engine::LinArb,
-            Engine::UAutomizer,
+            EngineKind::Cegar,
+            EngineKind::UAutomizer,
             timeout,
         );
         // The recursive characterization rows (paper: Prime, EvenOdd,
@@ -205,8 +207,8 @@ fn main() {
         );
         for b in &suite {
             let (l, c, p, v) = b.stats();
-            let la = linarb_bench::run_engine(Engine::LinArb, b, timeout);
-            let ua = linarb_bench::run_engine(Engine::UAutomizer, b, timeout);
+            let la = linarb_bench::run_engine(EngineKind::Cegar, b, timeout);
+            let ua = linarb_bench::run_engine(EngineKind::UAutomizer, b, timeout);
             println!(
                 "{:<22} {:>6} {:>5} {:>5} {:>6} {:>12} {:>12}",
                 b.name,
@@ -230,11 +232,11 @@ fn main() {
         let suite = subsample(linarb_suite::chc381_scaled(scale), max.min(24));
         println!("\n=== Ablation: decision-tree layer (paper: without DT most benchmarks time out) ===");
         println!("{:<22} {:>8} {:>8} {:>12}", "engine", "solved", "total", "mean-time");
-        for engine in [Engine::LinArb, Engine::LinArbNoDt] {
+        for engine in [EngineKind::Cegar, EngineKind::CegarNoDt] {
             let (_, s) = run_suite(engine, &suite, timeout);
             println!(
                 "{:<22} {:>8} {:>8} {:>11.3}s",
-                engine.name(),
+                paper_name(engine),
                 s.solved,
                 s.total,
                 s.mean_time_solved().as_secs_f64()

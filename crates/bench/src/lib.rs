@@ -8,61 +8,18 @@ use linarb_solver::{CegarSolver, SolveResult, SolverConfig};
 use linarb_suite::{Benchmark, Expected};
 use std::time::{Duration, Instant};
 
-/// The engines compared in the paper's evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Engine {
-    /// The paper's tool: Algorithm 3 with the ML toolchain.
-    LinArb,
-    /// Ablation: decision-tree layer disabled (§6).
-    LinArbNoDt,
-    /// PIE-style enumeration learner in the same CEGAR loop.
-    Pie,
-    /// DIG-style template learner in the same CEGAR loop.
-    Dig,
-    /// PDR without must summaries (GPDR \[17\]).
-    Gpdr,
-    /// PDR with must summaries (Spacer \[19\]).
-    Spacer,
-    /// Batch unwinding interpolation (Duality \[24, 25\]).
-    Duality,
-    /// Trace-by-trace interpolation (UAutomizer \[16\]).
-    UAutomizer,
-    /// The portfolio driver racing all of the above (plus BMC); first
-    /// checkable certificate wins. Race width comes from
-    /// `LINARB_THREADS` (default 2; at least 2 engines race).
-    Portfolio,
-}
-
-impl Engine {
-    /// Display name matching the paper's tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::LinArb => "LinearArbitrary",
-            Engine::LinArbNoDt => "LinearArbitrary(noDT)",
-            Engine::Pie => "PIE",
-            Engine::Dig => "DIG",
-            Engine::Gpdr => "GPDR",
-            Engine::Spacer => "Spacer",
-            Engine::Duality => "Duality",
-            Engine::UAutomizer => "UAutomizer",
-            Engine::Portfolio => "Portfolio",
-        }
-    }
-
-    /// The portfolio engine this bench engine maps to; `None` for the
-    /// full portfolio race itself.
-    pub fn kind(self) -> Option<EngineKind> {
-        match self {
-            Engine::LinArb => Some(EngineKind::Cegar),
-            Engine::LinArbNoDt => Some(EngineKind::CegarNoDt),
-            Engine::Pie => Some(EngineKind::Pie),
-            Engine::Dig => Some(EngineKind::Dig),
-            Engine::Gpdr => Some(EngineKind::Gpdr),
-            Engine::Spacer => Some(EngineKind::Spacer),
-            Engine::Duality => Some(EngineKind::Duality),
-            Engine::UAutomizer => Some(EngineKind::UAutomizer),
-            Engine::Portfolio => None,
-        }
+/// An engine's name in the paper's tables.
+pub fn paper_name(kind: EngineKind) -> &'static str {
+    match kind {
+        EngineKind::Cegar => "LinearArbitrary",
+        EngineKind::CegarNoDt => "LinearArbitrary(noDT)",
+        EngineKind::Pie => "PIE",
+        EngineKind::Dig => "DIG",
+        EngineKind::Spacer => "Spacer",
+        EngineKind::Gpdr => "GPDR",
+        EngineKind::Bmc => "BMC",
+        EngineKind::Duality => "Duality",
+        EngineKind::UAutomizer => "UAutomizer",
     }
 }
 
@@ -96,33 +53,31 @@ impl RunOutcome {
     }
 }
 
-/// Runs `engine` on `bench` under `timeout`. Dispatch goes through the
-/// portfolio crate's single-engine runner (one construction site for
-/// every engine's configuration); `Engine::Portfolio` races the
-/// default engine set.
-pub fn run_engine(engine: Engine, bench: &Benchmark, timeout: Duration) -> RunOutcome {
-    let budget = Budget::timeout(timeout);
+/// Runs one engine on `bench` under `timeout`, through the portfolio
+/// crate's single-engine runner (one construction site for every
+/// engine's configuration).
+pub fn run_engine(kind: EngineKind, bench: &Benchmark, timeout: Duration) -> RunOutcome {
+    score(bench, || linarb_portfolio::run_engine(kind, &bench.system, &Budget::timeout(timeout)))
+}
+
+/// Races the portfolio on `bench` under `timeout`: the
+/// [`EngineKind::race`] engines at `LINARB_THREADS` width (default 2;
+/// at least 2 engines race), or the `LINARB_PORTFOLIO_FORCE` engine
+/// alone.
+pub fn run_portfolio(bench: &Benchmark, timeout: Duration) -> RunOutcome {
     let pconfig = PortfolioConfig::from_env().expect("LINARB_PORTFOLIO_FORCE");
+    let threads = env_or("LINARB_THREADS", pconfig.threads);
+    let budget = Budget::timeout(timeout);
+    score(bench, || solve_portfolio(&bench.system, &pconfig.with_threads(threads), &budget).verdict)
+}
+
+/// Times `solve` and scores its verdict against `bench`'s ground truth.
+fn score(bench: &Benchmark, solve: impl FnOnce() -> EngineVerdict) -> RunOutcome {
     let start = Instant::now();
-    let verdict = match engine.kind() {
-        Some(kind) => match linarb_portfolio::run_engine(
-            kind,
-            &bench.system,
-            &budget,
-            pconfig.bmc_max_depth,
-        ) {
-            EngineVerdict::Sat(_) => Verdict::Safe,
-            EngineVerdict::Unsat(_) => Verdict::Unsafe,
-            EngineVerdict::Unknown(_) => Verdict::Unknown,
-        },
-        None => {
-            let threads = env_or("LINARB_THREADS", pconfig.threads);
-            match solve_portfolio(&bench.system, &pconfig.with_threads(threads), &budget).verdict {
-                EngineVerdict::Sat(_) => Verdict::Safe,
-                EngineVerdict::Unsat(_) => Verdict::Unsafe,
-                EngineVerdict::Unknown(_) => Verdict::Unknown,
-            }
-        }
+    let verdict = match solve() {
+        EngineVerdict::Sat(_) => Verdict::Safe,
+        EngineVerdict::Unsat(_) => Verdict::Unsafe,
+        EngineVerdict::Unknown(_) => Verdict::Unknown,
     };
     let time = start.elapsed();
     let correct = match verdict {
@@ -160,7 +115,7 @@ impl SuiteSummary {
 /// Runs an engine over a suite, returning per-benchmark outcomes and
 /// the summary.
 pub fn run_suite(
-    engine: Engine,
+    engine: EngineKind,
     suite: &[Benchmark],
     timeout: Duration,
 ) -> (Vec<RunOutcome>, SuiteSummary) {

@@ -4,7 +4,7 @@
 //! portfolio solves instances the CEGAR engine alone cannot at the
 //! same budget).
 
-use linarb_bench::{run_engine, Engine, Verdict};
+use linarb_bench::{paper_name, run_engine, run_portfolio, Verdict};
 use linarb_portfolio::{
     check_certificate, solve_portfolio, Certificate, EngineKind, EngineVerdict, PortfolioConfig,
 };
@@ -39,16 +39,16 @@ fn timeout() -> Duration {
 #[test]
 fn portfolio_agrees_with_single_engines() {
     let singles = [
-        Engine::LinArb,
-        Engine::Pie,
-        Engine::Dig,
-        Engine::Spacer,
-        Engine::Gpdr,
-        Engine::Duality,
-        Engine::UAutomizer,
+        EngineKind::Cegar,
+        EngineKind::Pie,
+        EngineKind::Dig,
+        EngineKind::Spacer,
+        EngineKind::Gpdr,
+        EngineKind::Duality,
+        EngineKind::UAutomizer,
     ];
     for bench in suite() {
-        let port = run_engine(Engine::Portfolio, &bench, timeout());
+        let port = run_portfolio(&bench, timeout());
         assert_ne!(
             port.correct,
             Some(false),
@@ -61,14 +61,14 @@ fn portfolio_agrees_with_single_engines() {
                 single.correct,
                 Some(false),
                 "{} contradicts ground truth on {}",
-                engine.name(),
+                paper_name(engine),
                 bench.name
             );
             if port.verdict != Verdict::Unknown && single.verdict != Verdict::Unknown {
                 assert_eq!(
                     port.verdict, single.verdict,
                     "portfolio and {} disagree on {}",
-                    engine.name(),
+                    paper_name(engine),
                     bench.name
                 );
             }
@@ -161,8 +161,8 @@ fn portfolio_beats_lone_cegar_on_harder_tier() {
     let timeout = Duration::from_millis(budget_ms);
     let mut portfolio_only = 0usize;
     for bench in harder_tier(7) {
-        let cegar = run_engine(Engine::LinArb, &bench, timeout);
-        let port = run_engine(Engine::Portfolio, &bench, timeout);
+        let cegar = run_engine(EngineKind::Cegar, &bench, timeout);
+        let port = run_portfolio(&bench, timeout);
         assert_ne!(port.correct, Some(false), "portfolio wrong on {}", bench.name);
         assert_ne!(cegar.correct, Some(false), "cegar wrong on {}", bench.name);
         eprintln!(

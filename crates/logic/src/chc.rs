@@ -374,12 +374,6 @@ impl ChcSystem {
         false
     }
 
-    /// Checks an interpretation by *evaluation* on a grid of points —
-    /// used by tests as a sanity oracle, not by the solver.
-    pub fn eval_clause(&self, clause: &Clause, interp: &Interpretation, model: &Model) -> bool {
-        !self.validity_check(clause, interp).eval(model)
-    }
-
     /// Serializes the system to SMT-LIB2 `HORN` format, parseable by
     /// [`parse_chc`](crate::parse_chc) (and by mainstream CHC solvers).
     pub fn to_smtlib(&self) -> String {

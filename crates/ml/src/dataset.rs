@@ -115,11 +115,6 @@ impl Dataset {
         self.pos_set.contains(s)
     }
 
-    /// Membership test for the negative class.
-    pub fn contains_negative(&self, s: &Sample) -> bool {
-        self.neg_set.contains(s)
-    }
-
     /// Returns `true` iff no sample is labeled both positive and
     /// negative.
     pub fn is_consistent(&self) -> bool {

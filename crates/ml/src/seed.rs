@@ -114,10 +114,11 @@ impl SeedStore {
     }
 
     /// Octagon-style closure: for every predicate, adds the pairwise
-    /// sums and differences of the first [`COMBO_BASE`] harvested
-    /// directions (capped at [`COMBO_CAP`] planes). Equality-shaped
-    /// invariants like `res + cnt == a + b` typically live exactly one
-    /// such combination away from the harvested guard/goal directions.
+    /// sums and differences of the first 12 harvested directions
+    /// (`COMBO_BASE`), until it holds 48 planes (`COMBO_CAP`).
+    /// Equality-shaped invariants like `res + cnt == a + b` typically
+    /// live exactly one such combination away from the harvested
+    /// guard/goal directions.
     pub fn combine_pairs(&mut self) {
         let preds: Vec<PredId> = {
             let mut ps: Vec<PredId> = self.by_pred.keys().copied().collect();
@@ -164,20 +165,6 @@ impl SeedStore {
         admitted
     }
 
-    /// Every stored direction as `(pred, dir)` pairs, predicates in id
-    /// order — the export half of the warm-start round trip.
-    pub fn export_dirs(&self) -> Vec<(PredId, Vec<BigInt>)> {
-        let mut preds: Vec<PredId> = self.by_pred.keys().copied().collect();
-        preds.sort_by_key(|p| p.0);
-        let mut out = Vec::new();
-        for p in preds {
-            for plane in &self.by_pred[&p].planes {
-                out.push((p, plane.dir.clone()));
-            }
-        }
-        out
-    }
-
     /// The planes stored for `pred` (empty slice when none).
     pub fn planes(&self, pred: PredId) -> &[SeedPlane] {
         self.by_pred.get(&pred).map_or(&[], |e| e.planes.as_slice())
@@ -196,11 +183,6 @@ impl SeedStore {
                 self.total_hits += 1;
             }
         }
-    }
-
-    /// Planes currently stored across all predicates.
-    pub fn total_planes(&self) -> usize {
-        self.by_pred.values().map(|e| e.planes.len()).sum()
     }
 
     /// Planes ever admitted.

@@ -26,10 +26,10 @@
 //!   it just loses.
 //! * **One engine per solver family first.** Engines start in *start
 //!   order*: the first engine of each family (the CEGAR loop, PDR, BMC,
-//!   interpolation) in configured order, then the rest. Engines of one
-//!   family solve the same programs, so diversity pays before depth:
-//!   the default race at width 2 runs cegar against spacer, and pie
-//!   starts only once one of them gives up.
+//!   interpolation) in [`EngineKind::race`] order, then the rest.
+//!   Engines of one family solve the same programs, so diversity pays
+//!   before depth: the race at width 2 runs cegar against spacer, and
+//!   pie starts only once one of them gives up.
 //!
 //! The race always runs at least two engines at once, even on one
 //! core: the OS interleaves them and neither restarts. Which engine
@@ -136,12 +136,6 @@ impl EngineKind {
             "uautomizer" | "trace" => Some(EngineKind::UAutomizer),
             _ => None,
         }
-    }
-
-    /// Can this engine ever produce a SAT verdict? (BMC is
-    /// refutation-only.)
-    pub fn can_prove_safe(self) -> bool {
-        !matches!(self, EngineKind::Bmc)
     }
 
     /// The solver family: engines of one family share their search and
@@ -291,30 +285,24 @@ pub fn check_certificate(sys: &ChcSystem, verdict: &EngineVerdict, budget: &Budg
     }
 }
 
-/// Portfolio configuration.
+/// BMC's iterative-deepening cap, in the race and when run alone.
+const BMC_MAX_DEPTH: usize = 256;
+
+/// Portfolio configuration. The race runs [`EngineKind::race`] in
+/// start order (see the crate docs).
 #[derive(Clone, Debug)]
 pub struct PortfolioConfig {
-    /// Engines to race (default: [`EngineKind::race`]); they start in
-    /// start order (see the crate docs).
-    pub engines: Vec<EngineKind>,
     /// Race width: engines running at once. [`solve_portfolio`] runs
     /// at least 2 and at most one per engine.
     pub threads: usize,
     /// Run exactly this engine (deterministic CI mode); set from
     /// `LINARB_PORTFOLIO_FORCE` by [`PortfolioConfig::from_env`].
     pub force: Option<EngineKind>,
-    /// BMC iterative-deepening cap.
-    pub bmc_max_depth: usize,
 }
 
 impl Default for PortfolioConfig {
     fn default() -> Self {
-        PortfolioConfig {
-            engines: EngineKind::race(),
-            threads: 2,
-            force: None,
-            bmc_max_depth: 256,
-        }
+        PortfolioConfig { threads: 2, force: None }
     }
 }
 
@@ -361,8 +349,8 @@ pub struct PortfolioOutcome {
     pub verdict: EngineVerdict,
     /// Which engine won, if any.
     pub winner: Option<EngineKind>,
-    /// Per-engine outcome/time/winner rows (engine order = config
-    /// order).
+    /// Per-engine outcome/time/winner rows, in [`EngineKind::race`]
+    /// order (one row when forced).
     pub reports: Vec<EngineReport>,
     /// Total wall-clock of the run.
     pub wall: Duration,
@@ -423,12 +411,7 @@ impl PortfolioOutcome {
 /// re-derives a concrete certificate by running BMC to that depth
 /// (plus one level of slack) — failure to confirm demotes the verdict
 /// to `Unknown`, keeping an uncertifiable refutation from winning.
-pub fn run_engine(
-    kind: EngineKind,
-    sys: &ChcSystem,
-    budget: &Budget,
-    bmc_max_depth: usize,
-) -> EngineVerdict {
+pub fn run_engine(kind: EngineKind, sys: &ChcSystem, budget: &Budget) -> EngineVerdict {
     match kind {
         EngineKind::Cegar | EngineKind::CegarNoDt => {
             let mut lc = LearnConfig::default();
@@ -455,7 +438,7 @@ pub fn run_engine(
             };
             PdrSolver::new(sys, config).solve(budget).into()
         }
-        EngineKind::Bmc => bmc(sys, bmc_max_depth, budget).into(),
+        EngineKind::Bmc => bmc(sys, BMC_MAX_DEPTH, budget).into(),
         EngineKind::Duality | EngineKind::UAutomizer => {
             let mode = if kind == EngineKind::Duality {
                 InterpMode::Duality
@@ -506,8 +489,9 @@ impl WinnerSlot {
     }
 }
 
-/// Races the configured engines on `sys` under `budget`. See the
-/// crate docs for the winning rule and cancellation semantics.
+/// Races the [`EngineKind::race`] engines on `sys` under `budget`, or
+/// runs the forced one alone. See the crate docs for the winning rule
+/// and cancellation semantics.
 pub fn solve_portfolio(
     sys: &ChcSystem,
     config: &PortfolioConfig,
@@ -515,9 +499,9 @@ pub fn solve_portfolio(
 ) -> PortfolioOutcome {
     let start = Instant::now();
     if let Some(kind) = config.force {
-        return run_forced(kind, sys, config, budget, start);
+        return run_forced(kind, sys, budget, start);
     }
-    run_racing(sys, config, budget, start)
+    run_racing(sys, config.threads, budget, start)
 }
 
 fn finish(
@@ -538,7 +522,7 @@ fn finish(
     outcome
 }
 
-/// One `skipped` row per configured engine, overwritten as engines run.
+/// One `skipped` row per raced engine, overwritten as engines run.
 fn skipped_reports(engines: &[EngineKind]) -> Vec<EngineReport> {
     engines
         .iter()
@@ -557,12 +541,11 @@ fn skipped_reports(engines: &[EngineKind]) -> Vec<EngineReport> {
 fn run_forced(
     kind: EngineKind,
     sys: &ChcSystem,
-    config: &PortfolioConfig,
     budget: &Budget,
     start: Instant,
 ) -> PortfolioOutcome {
     let t0 = Instant::now();
-    let verdict = run_engine(kind, sys, budget, config.bmc_max_depth);
+    let verdict = run_engine(kind, sys, budget);
     let time = t0.elapsed();
     let certified = verdict
         .is_definite()
@@ -586,24 +569,26 @@ fn run_forced(
     finish(final_verdict, won.then_some(kind), vec![report], start)
 }
 
-/// The race: `config.threads.max(2)` workers take engines in start
-/// order and run each once under the shared cancellable budget; the
-/// first certified verdict cancels the rest, and engines not yet
-/// started when it lands or when the budget runs out stay `skipped`.
+/// The race: `threads.max(2)` workers take the [`EngineKind::race`]
+/// engines in start order and run each once under the shared
+/// cancellable budget; the first certified verdict cancels the rest,
+/// and engines not yet started when it lands or when the budget runs
+/// out stay `skipped`.
 fn run_racing(
     sys: &ChcSystem,
-    config: &PortfolioConfig,
+    threads: usize,
     budget: &Budget,
     start: Instant,
 ) -> PortfolioOutcome {
     let token = CancelToken::new();
     let shared = budget.clone().with_cancel_token(token.clone());
     let winner = WinnerSlot { slot: Mutex::new(None), token };
-    let order = start_order(&config.engines);
+    let engines = EngineKind::race();
+    let order = start_order(&engines);
 
     let race_one = |kind: EngineKind| {
         let t0 = Instant::now();
-        let verdict = run_engine(kind, sys, &shared, config.bmc_max_depth);
+        let verdict = run_engine(kind, sys, &shared);
         let mut certified = None;
         let mut won = false;
         if verdict.is_definite() {
@@ -633,10 +618,10 @@ fn run_racing(
         );
         report
     };
-    let ran = parallel_map(config.threads.max(2), order.clone(), |i| {
-        (!shared.exhausted()).then(|| race_one(config.engines[i]))
+    let ran = parallel_map(threads.max(2), order.clone(), |i| {
+        (!shared.exhausted()).then(|| race_one(engines[i]))
     });
-    let mut reports = skipped_reports(&config.engines);
+    let mut reports = skipped_reports(&engines);
     for (i, report) in order.into_iter().zip(ran) {
         if let Some(report) = report {
             reports[i] = report;
@@ -742,20 +727,22 @@ mod tests {
 
     #[test]
     fn every_engine_verdict_is_certifiable_on_the_counter() {
+        // Each run gets its own budget, so no run can starve the next
+        // into a vacuous Unknown. Every engine answers both systems in
+        // milliseconds, except BMC on the safe one: it cannot prove
+        // safety and unrolls until its budget runs out.
         let sys = parse_chc(SAFE).unwrap();
         let bad = parse_chc(&unsafe_text()).unwrap();
-        let budget = Budget::timeout(Duration::from_secs(30));
+        let budget = || Budget::timeout(Duration::from_secs(10));
         for kind in EngineKind::all() {
-            let v = run_engine(kind, &sys, &budget, 64);
-            if v.is_definite() {
+            let v = run_engine(kind, &sys, &budget());
+            if kind != EngineKind::Bmc || v.is_definite() {
                 assert!(v.is_sat(), "{kind} wrong on safe counter: {v:?}");
-                assert!(check_certificate(&sys, &v, &budget), "{kind} sat cert");
+                assert!(check_certificate(&sys, &v, &budget()), "{kind} sat cert");
             }
-            let v = run_engine(kind, &bad, &budget, 64);
-            if v.is_definite() {
-                assert!(v.is_unsat(), "{kind} wrong on unsafe counter: {v:?}");
-                assert!(check_certificate(&bad, &v, &budget), "{kind} unsat cert");
-            }
+            let v = run_engine(kind, &bad, &budget());
+            assert!(v.is_unsat(), "{kind} wrong on unsafe counter: {v:?}");
+            assert!(check_certificate(&bad, &v, &budget()), "{kind} unsat cert");
         }
     }
 
@@ -804,7 +791,7 @@ mod tests {
         let budget = Budget::unlimited().with_cancel_token(token);
         for kind in EngineKind::all() {
             let t0 = Instant::now();
-            let v = run_engine(kind, &sys, &budget, 64);
+            let v = run_engine(kind, &sys, &budget);
             assert!(
                 t0.elapsed() < Duration::from_secs(2),
                 "{kind} did not cancel promptly"

@@ -334,7 +334,6 @@ pub struct SatSolver {
     lsz_sum: u64,
     lsz_min: u64,
     lsz_max: u64,
-    assumption_core: Vec<Lit>,
     db_reductions: u64,
     /// Alive-learned-clause count that triggers a DB reduction (the
     /// threshold ramps by [`REDUCE_STEP`] per reduction performed).
@@ -387,7 +386,6 @@ impl SatSolver {
             lsz_sum: 0,
             lsz_min: u64::MAX,
             lsz_max: 0,
-            assumption_core: Vec::new(),
             db_reductions: 0,
             reduce_first: REDUCE_FIRST,
             reduce_step: REDUCE_STEP,
@@ -418,11 +416,6 @@ impl SatSolver {
     /// Number of conflicts encountered so far (for statistics).
     pub fn num_conflicts(&self) -> u64 {
         self.conflicts
-    }
-
-    /// Number of unit propagations performed (for statistics).
-    pub fn num_propagations(&self) -> u64 {
-        self.propagations
     }
 
     /// Number of branching decisions made so far (for statistics).
@@ -457,11 +450,6 @@ impl SatSolver {
     /// this grows monotonically over an incremental session.
     pub fn num_learned(&self) -> u64 {
         self.learned
-    }
-
-    /// Number of search restarts performed so far (for statistics).
-    pub fn num_restarts(&self) -> u64 {
-        self.restarts
     }
 
     /// Number of clauses currently stored (problem + learned).
@@ -848,10 +836,7 @@ impl SatSolver {
     ///
     /// An `Unsat` answer that depends on the assumptions does **not**
     /// poison the solver: drop or change the assumptions and solve
-    /// again. [`assumption_core`](Self::assumption_core) then holds a
-    /// subset of the assumptions that is jointly inconsistent with the
-    /// clause set (the *final conflict*). An empty core means the
-    /// clause set is unsatisfiable regardless of assumptions.
+    /// again.
     pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
         self.solve_instrumented(assumptions, None)
     }
@@ -1012,7 +997,6 @@ impl SatSolver {
         assumptions: &[Lit],
         mut hook: Option<&mut (dyn TheoryHook + 'h)>,
     ) -> SatResult {
-        self.assumption_core.clear();
         if !self.ok {
             return SatResult::Unsat;
         }
@@ -1060,7 +1044,6 @@ impl SatSolver {
                             self.trail_lim.push(self.trail.len());
                         }
                         Some(false) => {
-                            self.assumption_core = self.analyze_final(a);
                             self.backtrack_to(0);
                             return SatResult::Unsat;
                         }
@@ -1107,55 +1090,6 @@ impl SatSolver {
                 }
             }
         }
-    }
-
-    /// After an assumption-dependent `Unsat` from
-    /// [`solve_under_assumptions`](Self::solve_under_assumptions): a
-    /// subset of the assumptions whose conjunction already contradicts
-    /// the clause set. Empty when the last `Unsat` was unconditional.
-    pub fn assumption_core(&self) -> &[Lit] {
-        &self.assumption_core
-    }
-
-    /// Final-conflict analysis (MiniSat's `analyzeFinal`): `failed` is
-    /// an assumption whose complement is implied by the clauses plus
-    /// the assumptions established so far. Walks the trail backwards,
-    /// expanding propagation reasons, until only pseudo-decisions
-    /// (assumptions) remain — those, plus `failed` itself, form the
-    /// core. Level-0 facts are unconditional and excluded.
-    fn analyze_final(&mut self, failed: Lit) -> Vec<Lit> {
-        let mut core = vec![failed];
-        if self.trail_lim.is_empty() {
-            return core;
-        }
-        let mut seen = std::mem::take(&mut self.seen);
-        seen[failed.var().index()] = true;
-        for i in (self.trail_lim[0]..self.trail.len()).rev() {
-            let l = self.trail[i];
-            let v = l.var().index();
-            if !seen[v] {
-                continue;
-            }
-            // Every antecedent marked below sits later in this walk.
-            seen[v] = false;
-            let r = self.reason[v];
-            if r == INVALID {
-                // a pseudo-decision: an assumption the conflict uses
-                core.push(l);
-            } else {
-                // position 0 is the propagated literal; the rest are
-                // the antecedents to expand
-                for &q in &self.clauses[r as usize].lits[1..] {
-                    if self.level[q.var().index()] > 0 {
-                        seen[q.var().index()] = true;
-                    }
-                }
-            }
-        }
-        // `failed` may be a level-0 fact the walk never reached.
-        seen[failed.var().index()] = false;
-        self.seen = seen;
-        core
     }
 
     /// The unassigned decision variable with the highest activity,
@@ -1383,9 +1317,6 @@ mod tests {
         // a and ~b contradict a -> b, but only under assumptions
         let r = s.solve_under_assumptions(&[a.positive(), b.negative()]);
         assert_eq!(r, SatResult::Unsat);
-        let core = s.assumption_core().to_vec();
-        assert!(!core.is_empty(), "assumption-dependent unsat needs a core");
-        assert!(core.contains(&a.positive()) && core.contains(&b.negative()));
         // the solver must remain usable: same clauses, weaker assumptions
         assert_eq!(s.solve_under_assumptions(&[a.positive()]), SatResult::Sat);
         assert_eq!(s.value(b), Some(true));
@@ -1400,41 +1331,18 @@ mod tests {
         s.add_clause(&[a.positive(), b.positive()]);
         let r = s.solve_under_assumptions(&[a.positive(), a.negative()]);
         assert_eq!(r, SatResult::Unsat);
-        let core = s.assumption_core();
-        assert!(core.contains(&a.positive()) && core.contains(&a.negative()));
         assert_eq!(s.solve(), SatResult::Sat);
     }
 
     #[test]
-    fn final_conflict_core_is_minimal_subset() {
-        // chain a -> b -> c; assuming {a, d, ~c} fails, and the core
-        // must not mention the irrelevant assumption d.
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        let c = s.new_var();
-        let d = s.new_var();
-        s.add_clause(&[a.negative(), b.positive()]);
-        s.add_clause(&[b.negative(), c.positive()]);
-        let r = s.solve_under_assumptions(&[a.positive(), d.positive(), c.negative()]);
-        assert_eq!(r, SatResult::Unsat);
-        let core = s.assumption_core().to_vec();
-        assert!(core.contains(&a.positive()), "core {core:?}");
-        assert!(core.contains(&c.negative()), "core {core:?}");
-        assert!(!core.contains(&d.positive()), "irrelevant assumption in core {core:?}");
-        // and the core itself must be unsat when re-assumed
-        assert_eq!(s.solve_under_assumptions(&core), SatResult::Unsat);
-    }
-
-    #[test]
-    fn unconditional_unsat_reports_empty_core() {
+    fn unconditional_unsat_stays_unsat_under_assumptions() {
         let mut s = SatSolver::new();
         let a = s.new_var();
         let b = s.new_var();
         s.add_clause(&[a.positive()]);
         s.add_clause(&[a.negative()]);
         assert_eq!(s.solve_under_assumptions(&[b.positive()]), SatResult::Unsat);
-        assert!(s.assumption_core().is_empty());
+        assert_eq!(s.solve(), SatResult::Unsat);
     }
 
     #[test]
@@ -1583,14 +1491,6 @@ mod tests {
                             "assumption not honored in model, round {round}"
                         );
                     }
-                } else {
-                    // the reported core must itself be unsat
-                    let core = inc.assumption_core().to_vec();
-                    assert_eq!(
-                        inc.solve_under_assumptions(&core),
-                        SatResult::Unsat,
-                        "round {round}: core {core:?} not unsat"
-                    );
                 }
             }
         }
@@ -2020,8 +1920,6 @@ mod tests {
             SatResult::Unsat,
             "theory clause contradicts the assumptions"
         );
-        let core = s.assumption_core().to_vec();
-        assert!(!core.is_empty());
         // Without the conflicting assumptions: satisfiable again.
         assert_eq!(
             s.solve_with_theory(&[a.positive()], &mut hook),

@@ -30,6 +30,9 @@ use linarb_frontend::Canon;
 use linarb_logic::{Atom, ChcSystem, Formula, Interpretation, Model, Var};
 use linarb_solver::{DerivationNode, SolveResult, SolveSnapshot};
 
+/// Minimum fingerprint-overlap fraction for a near-tier donor.
+const NEAR_MIN_FRAC: f64 = 0.5;
+
 /// A memoized verdict in canonical coordinates.
 #[derive(Clone, Debug)]
 pub enum CachedVerdict {
@@ -272,11 +275,11 @@ impl InvariantCache {
     }
 
     /// Near-tier lookup: the entry with the highest fingerprint
-    /// overlap fraction, provided it reaches `min_frac` of the larger
+    /// overlap fraction, provided it reaches half of the larger
     /// fingerprint and its canonical arities match (snapshot predicate
     /// remapping requires aligned signatures). Ties keep the earliest
     /// inserted entry, so results do not depend on hash order.
-    pub fn nearest(&self, canon: &Canon, min_frac: f64) -> Option<Arc<CacheEntry>> {
+    pub fn nearest(&self, canon: &Canon) -> Option<Arc<CacheEntry>> {
         let mut best: Option<(f64, Arc<CacheEntry>)> = None;
         for key in &self.order {
             let e = &self.by_key[key];
@@ -285,7 +288,7 @@ impl InvariantCache {
             }
             let denom = e.fingerprint.len().max(canon.fingerprint.len()).max(1);
             let frac = overlap(&e.fingerprint, &canon.fingerprint) as f64 / denom as f64;
-            if frac >= min_frac && best.as_ref().map_or(true, |(b, _)| frac > *b) {
+            if frac >= NEAR_MIN_FRAC && best.as_ref().map_or(true, |(b, _)| frac > *b) {
                 best = Some((frac, Arc::clone(e)));
             }
         }

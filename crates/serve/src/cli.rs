@@ -4,7 +4,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use linarb_portfolio::EngineKind;
 use linarb_trace::json::{self, Json};
 
 use crate::client::Client;
@@ -21,16 +20,13 @@ options:
   --threads <n>                     jobs of a batch solved at once (default
                                     LINARB_THREADS or the machine)
   --timeout-ms <n>                  per-job budget (default 30000)
-  --engine <name>                   solve with a single portfolio
-                                    engine instead of the in-daemon
-                                    CEGAR path (disables warm starts)
-  --no-cache                        disable the invariant cache
-  --no-near                         disable the near-miss tier
   --cache-cap <n>                   max cache entries (default 4096)
 
 the daemon prints one `ready on <addr>` line once listening, naming
 the address it bound (for tcp:HOST:0, the port the OS chose), and
-exits on a client `shutdown` request";
+exits on a client `shutdown` request. It serves one connection at a
+time and drops a connection that sends nothing, or reads none of its
+reply, for 5 s";
 
 const CLIENT_USAGE: &str = "\
 usage: linarb client [options] [file.smt2|file.c ...]
@@ -75,20 +71,6 @@ pub fn serve_main(args: &[String]) -> i32 {
                     let ms: u64 =
                         value("--timeout-ms")?.parse().map_err(|_| "bad --timeout-ms value")?;
                     cfg.timeout = Duration::from_millis(ms);
-                    Ok(())
-                }
-                "--engine" => {
-                    let v = value("--engine")?;
-                    cfg.engine =
-                        Some(EngineKind::parse(v).ok_or_else(|| format!("bad --engine `{v}`"))?);
-                    Ok(())
-                }
-                "--no-cache" => {
-                    cfg.cache = false;
-                    Ok(())
-                }
-                "--no-near" => {
-                    cfg.near = false;
                     Ok(())
                 }
                 "--cache-cap" => {

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use linarb_frontend::{canonicalize, Canon};
 use linarb_logic::{parse_chc, Atom, ChcSystem, PredId, Var};
-use linarb_portfolio::{parallel_map, run_engine, Certificate, EngineKind, EngineVerdict};
+use linarb_portfolio::parallel_map;
 use linarb_smt::Budget;
 use linarb_solver::{
     verify_interpretation, CegarSolver, OracleMode, SolveResult, SolveSnapshot, SolverConfig,
@@ -40,16 +40,6 @@ pub struct ServeConfig {
     pub cache: bool,
     /// Maximum number of cache entries (FIFO eviction beyond).
     pub cache_cap: usize,
-    /// Near-miss tier switch.
-    pub near: bool,
-    /// Minimum fingerprint-overlap fraction for a near-tier donor.
-    pub near_min_frac: f64,
-    /// `None` solves with the in-crate CEGAR engine (which can donate
-    /// and consume warm-start snapshots); `Some(kind)` dispatches
-    /// through the portfolio's [`run_engine`] instead.
-    pub engine: Option<EngineKind>,
-    /// BMC unroll cap forwarded to portfolio engines.
-    pub bmc_max_depth: usize,
 }
 
 impl Default for ServeConfig {
@@ -66,10 +56,6 @@ impl Default for ServeConfig {
             timeout: Duration::from_secs(30),
             cache: true,
             cache_cap: 4096,
-            near: true,
-            near_min_frac: 0.5,
-            engine: None,
-            bmc_max_depth: 256,
         }
     }
 }
@@ -243,11 +229,6 @@ impl ServeCore {
     pub fn new(cfg: ServeConfig) -> ServeCore {
         let cache = Mutex::new(InvariantCache::new(cfg.cache_cap));
         ServeCore { cfg, cache, stats: Mutex::new(ServeStats::default()) }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
     }
 
     /// Snapshot of the counters.
@@ -424,8 +405,8 @@ impl ServeCore {
         let mut warm: Option<Arc<SolveSnapshot>> = None;
         let mut seed_atoms: Vec<(PredId, Atom)> = Vec::new();
         let mut tier = if self.cfg.cache { Tier::Miss } else { Tier::Off };
-        if self.cfg.cache && self.cfg.near {
-            let near = self.cache.lock().unwrap().nearest(&canon, self.cfg.near_min_frac);
+        if self.cfg.cache {
+            let near = self.cache.lock().unwrap().nearest(&canon);
             if let Some(entry) = near {
                 let mut pred_map: HashMap<PredId, PredId> = HashMap::new();
                 for (ci, producer) in entry.pred_of_canon.iter().enumerate() {
@@ -454,7 +435,7 @@ impl ServeCore {
             }
         }
 
-        let (result, snapshot, detail) = self.run_solver(&sys, warm, seed_atoms, &budget);
+        let (result, snapshot, detail) = run_solver(&sys, warm, seed_atoms, &budget);
 
         // Memoize definite verdicts (in canonical coordinates).
         let entry = if self.cfg.cache {
@@ -486,62 +467,34 @@ impl ServeCore {
         };
         (outcome, Some(FreshSolve { entry, verify_failed }))
     }
+}
 
-    fn run_solver(
-        &self,
-        sys: &ChcSystem,
-        warm: Option<Arc<SolveSnapshot>>,
-        seed_atoms: Vec<(PredId, Atom)>,
-        budget: &Budget,
-    ) -> (SolveResult, Option<SolveSnapshot>, String) {
-        match self.cfg.engine {
-            None | Some(EngineKind::Cegar) => {
-                // The stateless oracle, unlike the CLI's default: on the
-                // daemon's replay traffic of small systems it is ~4×
-                // faster end to end in a quarter of the memory. Large
-                // systems favour the incremental oracle and are not
-                // measured through the daemon (DESIGN.md §8).
-                let mut config = SolverConfig::default()
-                    .with_oracle(OracleMode::Fresh)
-                    .with_seed_atoms(seed_atoms);
-                if let Some(ws) = warm {
-                    config = config.with_warm_start(ws);
-                }
-                let mut solver = CegarSolver::new(sys, config);
-                let result = solver.solve(budget);
-                let snapshot = match &result {
-                    SolveResult::Unknown(_) => None,
-                    _ => Some(solver.snapshot()),
-                };
-                let detail = match &result {
-                    SolveResult::Unknown(reason) => format!("{reason:?}"),
-                    _ => String::new(),
-                };
-                (result, snapshot, detail)
-            }
-            Some(kind) => {
-                let verdict = run_engine(kind, sys, budget, self.cfg.bmc_max_depth);
-                match verdict {
-                    EngineVerdict::Sat(Certificate::Invariant(interp)) => {
-                        (SolveResult::Sat(interp), None, String::new())
-                    }
-                    EngineVerdict::Unsat(Certificate::Derivation(tree)) => {
-                        (SolveResult::Unsat(tree), None, String::new())
-                    }
-                    EngineVerdict::Unknown(reason) => (
-                        SolveResult::Unknown(linarb_solver::UnknownReason::SmtUnknown),
-                        None,
-                        reason,
-                    ),
-                    // Engines never cross certificate kinds; treat a
-                    // mismatch as unknown rather than trusting it.
-                    _ => (
-                        SolveResult::Unknown(linarb_solver::UnknownReason::SmtUnknown),
-                        None,
-                        "certificate kind mismatch".to_string(),
-                    ),
-                }
-            }
+/// The CEGAR loop on the stateless oracle, unlike the CLI's
+/// default. On `serve_replay` (seed 1, 20 s, one run each) it took
+/// `total_s` 1.06 s against 1.80 s on the incremental oracle, at
+/// the same peak memory (DESIGN.md §8, §15). Large systems favour
+/// the incremental oracle and are not measured through the daemon.
+fn run_solver(
+    sys: &ChcSystem,
+    warm: Option<Arc<SolveSnapshot>>,
+    seed_atoms: Vec<(PredId, Atom)>,
+    budget: &Budget,
+) -> (SolveResult, Option<SolveSnapshot>, String) {
+    let mut config =
+        SolverConfig::default().with_oracle(OracleMode::Fresh).with_seed_atoms(seed_atoms);
+    if let Some(ws) = warm {
+        config = config.with_warm_start(ws);
+    }
+    let mut solver = CegarSolver::new(sys, config);
+    let result = solver.solve(budget);
+    match &result {
+        SolveResult::Unknown(reason) => {
+            let detail = format!("{reason:?}");
+            (result, None, detail)
+        }
+        _ => {
+            let snapshot = solver.snapshot();
+            (result, Some(snapshot), String::new())
         }
     }
 }

@@ -5,20 +5,28 @@
 //! *inside* a batch (jobs spread over scoped threads), not across
 //! connections, which keeps cache insertion order, and therefore the
 //! daemon's entire observable behavior, a deterministic function of
-//! the submission sequence. A `shutdown` request ends the accept loop
+//! the submission sequence. So that one client cannot hold the others
+//! off, every accepted stream gets an [`IO_TIMEOUT`] on both reads and
+//! writes: a connection that stalls mid-frame, sits idle, or stops
+//! reading its replies that long is dropped and logged, and the next
+//! connection is served. A `shutdown` request ends the accept loop
 //! after its connection closes.
 
-use std::io::{self, Read, Write};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use linarb_trace::frame::{read_frame, write_frame};
 
 use crate::engine::{JobInput, JobOutcome, ServeCore};
 use crate::proto::{parse_request, render_error, Request};
+
+/// How long one read or write on a connection may wait before the
+/// daemon drops that connection.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Where the daemon listens.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,6 +64,25 @@ impl std::fmt::Display for BindAddr {
             BindAddr::Unix(path) => write!(f, "unix:{}", path.display()),
             BindAddr::Tcp(hostport) => write!(f, "tcp:{hostport}"),
         }
+    }
+}
+
+/// An accepted stream whose reads and writes can be bounded.
+trait Conn: Read + Write {
+    fn set_io_timeout(&self, t: Duration) -> io::Result<()>;
+}
+
+impl Conn for UnixStream {
+    fn set_io_timeout(&self, t: Duration) -> io::Result<()> {
+        self.set_read_timeout(Some(t))?;
+        self.set_write_timeout(Some(t))
+    }
+}
+
+impl Conn for TcpStream {
+    fn set_io_timeout(&self, t: Duration) -> io::Result<()> {
+        self.set_read_timeout(Some(t))?;
+        self.set_write_timeout(Some(t))
     }
 }
 
@@ -104,8 +131,9 @@ impl Listener {
     }
 
     /// Accepts connections one at a time until a `shutdown` request,
-    /// then removes a Unix socket file. Per-connection I/O errors are
-    /// logged to stderr and end only that connection.
+    /// then removes a Unix socket file. Per-connection I/O errors,
+    /// [`IO_TIMEOUT`] included, are logged to stderr and end only
+    /// that connection.
     pub fn run(self, core: &ServeCore) {
         match self.socket {
             Socket::Unix(l) => accept_loop(l.incoming(), core),
@@ -131,12 +159,18 @@ pub fn serve(addr: &BindAddr, core: Arc<ServeCore>) -> io::Result<()> {
     Ok(())
 }
 
-fn accept_loop<S: Read + Write>(incoming: impl Iterator<Item = io::Result<S>>, core: &ServeCore) {
+fn accept_loop<S: Conn>(incoming: impl Iterator<Item = io::Result<S>>, core: &ServeCore) {
     for conn in incoming {
         match conn {
-            Ok(mut stream) => match handle_conn(&mut stream, core) {
+            Ok(mut stream) => match stream
+                .set_io_timeout(IO_TIMEOUT)
+                .and_then(|()| handle_conn(&mut stream, core))
+            {
                 Ok(Control::Shutdown) => break,
                 Ok(Control::Continue) => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    eprintln!("linarb-serve: dropped a connection stalled for {IO_TIMEOUT:?}")
+                }
                 Err(e) => eprintln!("linarb-serve: connection error: {e}"),
             },
             Err(e) => eprintln!("linarb-serve: accept error: {e}"),

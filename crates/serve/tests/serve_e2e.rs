@@ -10,11 +10,11 @@ use std::time::{Duration, Instant};
 use linarb_serve::engine::{JobInput, ServeConfig, ServeCore, Source, Tier};
 use linarb_serve::client::Client;
 use linarb_serve::replay::variant;
-use linarb_serve::server::{BindAddr, Listener};
+use linarb_serve::server::{BindAddr, Listener, IO_TIMEOUT};
 use linarb_smt::Budget;
 use linarb_solver::{CegarSolver, SolveResult, SolverConfig};
 use linarb_suite::{even_odd, fibo_unsafe, fig1, Benchmark};
-use linarb_trace::frame::{read_frame, MAX_FRAME};
+use linarb_trace::frame::{read_frame, write_frame, MAX_FRAME};
 use linarb_trace::json::{self, Json};
 
 fn test_config() -> ServeConfig {
@@ -195,6 +195,69 @@ fn bad_frames_end_only_their_own_connection() {
     let pong = client.call("{\"op\":\"ping\"}").unwrap();
     assert!(pong.contains("\"ok\":true"), "bad ping reply: {pong}");
     client.call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pings the daemon on a new connection and returns how long the
+/// answer took; fails, rather than hangs, if it takes more than three
+/// timeouts.
+fn timed_ping(path: &std::path::Path) -> Duration {
+    let start = Instant::now();
+    let mut conn = UnixStream::connect(path).unwrap();
+    conn.set_read_timeout(Some(3 * IO_TIMEOUT)).unwrap();
+    write_frame(&mut conn, "{\"op\":\"ping\"}").unwrap();
+    let pong = read_frame(&mut conn).expect("no ping reply within three timeouts");
+    let pong = pong.expect("daemon closed the ping connection");
+    assert!(pong.contains("\"ok\":true"), "bad ping reply: {pong}");
+    start.elapsed()
+}
+
+#[test]
+fn a_stalled_client_is_dropped_after_the_read_timeout() {
+    let (addr, dir) = unix_addr("stall");
+    let (addr, handle) = start_daemon(addr);
+    let BindAddr::Unix(path) = &addr else { unreachable!() };
+    // Announces a 100-byte frame, sends 5 bytes of it and stays open.
+    let mut stalled = UnixStream::connect(path).unwrap();
+    let mut partial = 100u32.to_be_bytes().to_vec();
+    partial.extend_from_slice(b"{\"op\"");
+    stalled.write_all(&partial).unwrap();
+    let took = timed_ping(path);
+    assert!(
+        took < IO_TIMEOUT + Duration::from_secs(2),
+        "a ping behind a stalled client took {took:?}"
+    );
+    // The daemon closed the stalled connection without a reply.
+    stalled.set_read_timeout(Some(IO_TIMEOUT)).unwrap();
+    assert_eq!(read_frame(&mut stalled).unwrap(), None);
+    Client::connect(&addr).unwrap().call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_client_that_stops_reading_is_dropped_after_the_write_timeout() {
+    let (addr, dir) = unix_addr("deaf");
+    let (addr, handle) = start_daemon(addr);
+    let BindAddr::Unix(path) = &addr else { unreachable!() };
+    // Sends pings and never reads a reply, until the replies fill the
+    // socket buffer and the daemon drops the connection.
+    let mut deaf = UnixStream::connect(path).unwrap();
+    let flood = std::thread::spawn(move || {
+        let mut sent = 0u64;
+        while write_frame(&mut deaf, "{\"op\":\"ping\"}").is_ok() {
+            sent += 1;
+        }
+        sent
+    });
+    let took = timed_ping(path);
+    assert!(
+        took < IO_TIMEOUT + Duration::from_secs(2),
+        "a ping behind a client that stopped reading took {took:?}"
+    );
+    assert!(flood.join().unwrap() > 0);
+    Client::connect(&addr).unwrap().call("{\"op\":\"shutdown\"}").unwrap();
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }

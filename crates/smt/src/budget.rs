@@ -4,9 +4,8 @@
 //! The evaluation harness imposes the paper's per-benchmark timeouts by
 //! handing each solver a [`Budget`]; engines poll
 //! [`Budget::exhausted`] at loop heads and surface
-//! `Unknown`/`Timeout` results instead of being killed. The budget also
-//! carries the CDCL conflict cap for a single SAT search, replacing the
-//! solver's former hard-coded constant.
+//! `Unknown`/`Timeout` results instead of being killed. One SAT search
+//! is also capped at [`CONFLICT_LIMIT`] conflicts, whatever the budget.
 //!
 //! # Cooperative cancellation
 //!
@@ -14,9 +13,9 @@
 //! needs to stop the losers the moment a winner is certified. A budget
 //! can therefore carry a shared [`CancelToken`]
 //! ([`Budget::with_cancel_token`]): flipping the token makes
-//! [`Budget::exhausted`] (and its alias [`Budget::should_stop`]) return
-//! `true` on every clone, so each engine winds down at its next poll
-//! site — the same poll sites that already observe deadlines.
+//! [`Budget::exhausted`] return `true` on every clone, so each engine
+//! winds down at its next poll site — the same poll sites that already
+//! observe deadlines.
 //! Cancellation is level-triggered and irreversible for the life of
 //! the token.
 
@@ -24,8 +23,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The CDCL conflict cap used when a budget doesn't override it.
-pub(crate) const DEFAULT_CONFLICT_LIMIT: u64 = 500_000;
+/// The CDCL conflict cap of one SAT search: a runaway guard under
+/// every budget, unlimited ones included.
+pub(crate) const CONFLICT_LIMIT: u64 = 500_000;
 
 /// A shared cancellation flag for cooperative early termination.
 ///
@@ -38,9 +38,8 @@ pub(crate) const DEFAULT_CONFLICT_LIMIT: u64 = 500_000;
 /// use linarb_smt::{Budget, CancelToken};
 /// let token = CancelToken::new();
 /// let b = Budget::unlimited().with_cancel_token(token.clone());
-/// assert!(!b.should_stop());
+/// assert!(!b.exhausted());
 /// token.cancel();
-/// assert!(b.should_stop());
 /// assert!(b.exhausted());
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -66,10 +65,11 @@ impl CancelToken {
     }
 }
 
-/// A wall-clock + search-effort budget for a solving task.
+/// A wall-clock budget for a solving task, with an optional shared
+/// cancellation token.
 ///
 /// Cloning a budget is cheap and shares the cancellation token (if
-/// any); the deadline and per-search cap are plain values.
+/// any); the deadline is a plain value.
 ///
 /// ```
 /// use linarb_smt::Budget;
@@ -80,52 +80,28 @@ impl CancelToken {
 ///
 /// let t = Budget::timeout(Duration::from_millis(0));
 /// assert!(t.exhausted());
-///
-/// let capped = Budget::unlimited().with_conflict_limit(Some(1_000));
-/// assert_eq!(capped.conflict_limit(), Some(1_000));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Budget {
     deadline: Option<Instant>,
-    conflict_limit: Option<u64>,
     cancel: Option<CancelToken>,
 }
 
 impl Budget {
-    /// A budget that never expires (but still applies the default
-    /// CDCL conflict cap as a runaway guard).
+    /// A budget that never expires (one SAT search is still capped at
+    /// 500k conflicts).
     pub fn unlimited() -> Budget {
-        Budget {
-            deadline: None,
-            conflict_limit: Some(DEFAULT_CONFLICT_LIMIT),
-            cancel: None,
-        }
+        Budget { deadline: None, cancel: None }
     }
 
     /// A budget expiring `d` from now.
     pub fn timeout(d: Duration) -> Budget {
-        Budget {
-            deadline: Some(Instant::now() + d),
-            conflict_limit: Some(DEFAULT_CONFLICT_LIMIT),
-            cancel: None,
-        }
+        Budget::until(Instant::now() + d)
     }
 
     /// A budget expiring at the given instant.
     pub fn until(deadline: Instant) -> Budget {
-        Budget {
-            deadline: Some(deadline),
-            conflict_limit: Some(DEFAULT_CONFLICT_LIMIT),
-            cancel: None,
-        }
-    }
-
-    /// Overrides the per-search CDCL conflict cap. `None` removes the
-    /// cap entirely: a SAT search then runs until it answers or the
-    /// wall-clock deadline trips.
-    pub fn with_conflict_limit(mut self, limit: Option<u64>) -> Budget {
-        self.conflict_limit = limit;
-        self
+        Budget { deadline: Some(deadline), cancel: None }
     }
 
     /// Attaches a shared [`CancelToken`]: once the token is cancelled
@@ -136,11 +112,6 @@ impl Budget {
     pub fn with_cancel_token(mut self, token: CancelToken) -> Budget {
         self.cancel = Some(token);
         self
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
     }
 
     /// A copy of this budget with the cancellation token stripped.
@@ -160,13 +131,9 @@ impl Budget {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// The per-search CDCL conflict cap.
-    pub fn conflict_limit(&self) -> Option<u64> {
-        self.conflict_limit
-    }
-
     /// Returns `true` once the deadline has passed or the cancellation
-    /// token (if any) has been flipped.
+    /// token (if any) has been flipped. Engines poll it at every
+    /// unbounded loop head, so portfolio cancellation is prompt.
     pub fn exhausted(&self) -> bool {
         if self.cancelled() {
             return true;
@@ -175,14 +142,6 @@ impl Budget {
             None => false,
             Some(d) => Instant::now() >= d,
         }
-    }
-
-    /// Alias for [`exhausted`](Budget::exhausted), named for inner-loop
-    /// poll sites: engines call `budget.should_stop()` at every
-    /// unbounded loop head so portfolio cancellation is prompt.
-    #[inline]
-    pub fn should_stop(&self) -> bool {
-        self.exhausted()
     }
 
     /// Time left, or `None` for unlimited budgets.
@@ -206,15 +165,6 @@ mod tests {
         let b = Budget::unlimited();
         assert!(!b.exhausted());
         assert_eq!(b.remaining(), None);
-        assert_eq!(b.conflict_limit(), Some(DEFAULT_CONFLICT_LIMIT));
-    }
-
-    #[test]
-    fn conflict_limit_override() {
-        let b = Budget::unlimited().with_conflict_limit(Some(7));
-        assert_eq!(b.conflict_limit(), Some(7));
-        let un = Budget::timeout(Duration::from_secs(1)).with_conflict_limit(None);
-        assert_eq!(un.conflict_limit(), None);
     }
 
     #[test]
@@ -239,11 +189,10 @@ mod tests {
         let token = CancelToken::new();
         let a = Budget::unlimited().with_cancel_token(token.clone());
         let b = a.clone();
-        assert!(!a.exhausted() && !b.should_stop() && !a.cancelled());
+        assert!(!a.exhausted() && !b.exhausted() && !a.cancelled());
         token.cancel();
         assert!(a.cancelled() && b.cancelled());
         assert!(a.exhausted() && b.exhausted());
-        assert!(a.should_stop() && b.should_stop());
         // idempotent
         token.cancel();
         assert!(token.is_cancelled());

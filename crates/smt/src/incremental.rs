@@ -58,8 +58,12 @@ use std::collections::HashMap;
 /// where unknown indices are ignored by callers.
 const FRESH_VAR_BASE: u32 = 1 << 28;
 
-/// A persistent DPLL(T) solving context. See the [module
-/// documentation](self) for the lifecycle.
+/// A persistent DPLL(T) solving context: permanent assertions
+/// ([`assert_permanent`](Self::assert_permanent)), retractable ones
+/// behind activation literals ([`push_guarded`](Self::push_guarded)),
+/// and checks under those literals ([`check`](Self::check)) that keep
+/// learned clauses and the warm simplex tableau from one check to the
+/// next.
 #[derive(Clone, Debug)]
 pub struct IncrementalSolver {
     enc: Encoder,
@@ -286,18 +290,6 @@ impl IncrementalSolver {
     }
 }
 
-/// Convenience: a validity check through an incremental context —
-/// `Sat(countermodel)` means invalid. The negated formula goes in as a
-/// one-shot guarded assertion.
-pub fn find_countermodel_incremental(
-    ctx: &mut IncrementalSolver,
-    f: &Formula,
-    budget: &Budget,
-) -> SmtResult {
-    let guard = ctx.push_guarded(&Formula::not(f.clone()));
-    ctx.check(&[guard], budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,23 +466,5 @@ mod tests {
         // included) on pool threads; the solver must be Send.
         fn assert_send<T: Send>() {}
         assert_send::<IncrementalSolver>();
-    }
-
-    #[test]
-    fn countermodel_convenience() {
-        let mut s = IncrementalSolver::new();
-        s.assert_permanent(&Formula::from(Atom::ge(x(), c(0))));
-        // x >= 0 does not entail x >= 5
-        let r = find_countermodel_incremental(
-            &mut s,
-            &Formula::from(Atom::ge(x(), c(5))),
-            &b(),
-        );
-        match r {
-            SmtResult::Sat(m) => {
-                assert!(m.value(v(0)) >= int(0) && m.value(v(0)) < int(5));
-            }
-            other => panic!("expected countermodel, got {other:?}"),
-        }
     }
 }

@@ -49,7 +49,7 @@ mod theory;
 mod tseitin;
 
 pub use budget::{Budget, CancelToken};
-pub use incremental::{find_countermodel_incremental, IncrementalSolver};
+pub use incremental::IncrementalSolver;
 pub use linarb_sat::Lit;
 pub use simplex::{BoundKind, Conflict, FarkasEntry};
 pub use theory::{TheoryLia, TheoryVerdict};
@@ -252,11 +252,6 @@ pub fn check_conjunction(atoms: &[Atom], budget: &Budget) -> ConjunctionResult {
         if theory.num_slacks() > POOL_MAX_SLACKS {
             *theory = TheoryLia::new();
         }
-        // The budget's conflict cap bounds search effort here too: the
-        // theory's branch-and-bound node limit is the analogue of CDCL
-        // conflicts. The default cap (500k) leaves the historical
-        // 512-node limit in place; only tighter budgets reduce it.
-        theory.set_branch_limit(budget.conflict_limit().map_or(512, |l| l.min(512)));
         let mark = theory.set_backtrack_point();
         for (tag, a) in atoms.iter().enumerate() {
             if let Err(c) = theory.assert_atom(a, tag) {

@@ -14,7 +14,7 @@
 //! [`check_sat`]: crate::check_sat
 //! [`IncrementalSolver::check`]: crate::IncrementalSolver::check
 
-use crate::budget::Budget;
+use crate::budget::{Budget, CONFLICT_LIMIT};
 use crate::theory::{TheoryLia, TheoryVerdict};
 use crate::SmtResult;
 use linarb_logic::{Atom, Model};
@@ -127,7 +127,7 @@ pub(crate) fn search(
             return SmtResult::Unknown;
         }
         *rounds += 1;
-        sat.set_conflict_limit(budget.conflict_limit());
+        sat.set_conflict_limit(Some(CONFLICT_LIMIT));
         let mut hook = LiaHook {
             theory: &mut *theory,
             atoms,

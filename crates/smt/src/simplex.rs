@@ -169,11 +169,6 @@ impl Simplex {
         self.pivots
     }
 
-    /// Number of columns in the tableau (structural + slack).
-    pub fn num_cols(&self) -> usize {
-        self.beta.len()
-    }
-
     /// Takes a backtrack point: the returned token restores the
     /// current bound set when passed to
     /// [`backtrack_to`](Self::backtrack_to). Also enables trail

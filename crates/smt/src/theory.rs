@@ -31,6 +31,13 @@ pub enum TheoryVerdict {
     Unknown,
 }
 
+/// Simplex pivots one feasibility check may take.
+const MAX_PIVOTS: u64 = 200_000;
+
+/// Branch-and-bound nodes one [`TheoryLia::check`] may explore before
+/// it answers `Unknown`.
+const MAX_BRANCH_NODES: u64 = 512;
+
 /// Incremental assertion context for conjunctions of linear atoms.
 ///
 /// Each asserted [`Atom`] `e ≤ 0` is split into its homogeneous part
@@ -64,8 +71,6 @@ pub struct TheoryLia {
     /// All asserted atoms with caller tags (used by the rounding
     /// heuristic and the Diophantine equality check).
     asserted: Vec<(Atom, Tag)>,
-    max_pivots: u64,
-    max_branch_nodes: u64,
     /// Cumulative branch-and-bound nodes explored (statistics).
     branch_nodes: u64,
     /// Cumulative [`backtrack_to`](Self::backtrack_to) calls
@@ -90,8 +95,6 @@ impl TheoryLia {
             cols: HashMap::new(),
             slacks: HashMap::new(),
             asserted: Vec::new(),
-            max_pivots: 200_000,
-            max_branch_nodes: 512,
             branch_nodes: 0,
             backtracks: 0,
         }
@@ -131,20 +134,9 @@ impl TheoryLia {
         self.slacks.len()
     }
 
-    /// Cumulative branch-and-bound nodes explored by
-    /// [`check`](Self::check) calls on this context (statistics).
-    pub fn num_branch_nodes(&self) -> u64 {
-        self.branch_nodes
-    }
-
     /// Total simplex pivots performed on the base tableau (statistics).
     pub fn num_pivots(&self) -> u64 {
         self.simplex.num_pivots()
-    }
-
-    /// Overrides the branch-and-bound node limit (default 512).
-    pub fn set_branch_limit(&mut self, nodes: u64) {
-        self.max_branch_nodes = nodes;
     }
 
     fn col_of(&mut self, v: Var) -> usize {
@@ -243,7 +235,7 @@ impl TheoryLia {
             return TheoryVerdict::Infeasible { core, farkas: None };
         }
         // Rational feasibility: a rational conflict is a real core.
-        if let Err(conflict) = self.simplex.check(self.max_pivots) {
+        if let Err(conflict) = self.simplex.check(MAX_PIVOTS) {
             if conflict.entries.is_empty() {
                 return TheoryVerdict::Unknown;
             }
@@ -278,7 +270,7 @@ impl TheoryLia {
         while let Some(state) = queue.pop_front() {
             nodes += 1;
             self.branch_nodes += 1;
-            if nodes > self.max_branch_nodes || budget.exhausted() {
+            if nodes > MAX_BRANCH_NODES || budget.exhausted() {
                 event!(Level::Debug, "smt", "theory.budget_exhausted", "nodes" => nodes);
                 metrics::counter("smt.theory_unknown", 1);
                 return TheoryVerdict::Unknown;
@@ -315,7 +307,7 @@ impl TheoryLia {
                     if lo
                         .assert_upper(col, BigRational::from(fl.clone()), INTERNAL_TAG)
                         .is_ok()
-                        && lo.check(self.max_pivots).is_ok()
+                        && lo.check(MAX_PIVOTS).is_ok()
                     {
                         queue.push_back(lo);
                     }
@@ -328,7 +320,7 @@ impl TheoryLia {
                             INTERNAL_TAG,
                         )
                         .is_ok()
-                        && hi.check(self.max_pivots).is_ok()
+                        && hi.check(MAX_PIVOTS).is_ok()
                     {
                         queue.push_back(hi);
                     }

@@ -264,11 +264,6 @@ pub fn emit(level: Level, target: &'static str, name: &'static str, fields: Vec<
     dispatch(level, &e);
 }
 
-/// Emits a point event with no fields.
-pub fn emit0(level: Level, target: &'static str, name: &'static str) {
-    emit(level, target, name, Vec::new());
-}
-
 /// Structured event emission, lazily evaluated:
 ///
 /// ```

@@ -40,7 +40,7 @@ fn main() {
         for e in engines {
             let budget = Budget::timeout(timeout);
             let start = Instant::now();
-            let v = run_engine(e, &bench.system, &budget, 256);
+            let v = run_engine(e, &bench.system, &budget);
             let t = start.elapsed();
             // A definite verdict only counts if its certificate checks.
             let cell = if v.is_definite() && check_certificate(&bench.system, &v, &budget) {

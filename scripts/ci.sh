@@ -14,6 +14,11 @@ echo "== bench targets compile (micro, paper_eval) =="
 # can stop compiling unnoticed.
 cargo bench --no-run --offline -p linarb-bench
 
+echo "== rustdoc (warnings are errors) =="
+# A doc link to a deleted or private item is a warning; failing on it
+# keeps the API docs in step with the code.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tests (LINARB_THREADS=1) =="
 LINARB_THREADS=1 cargo test -q --offline --workspace
 

@@ -5,10 +5,9 @@
 //! or `unknown`. Structured tracing and metrics from `linarb-trace`
 //! are exposed via `--trace`, `--trace-out`, and `--stats`.
 
-use linarb::ml::LearnConfig;
 use linarb::portfolio::{self, EngineKind, EngineVerdict, PortfolioConfig};
 use linarb::smt::Budget;
-use linarb::solver::{CegarSolver, OracleMode, SolveResult, SolverConfig};
+use linarb::solver::{CegarSolver, SolveResult, SolverConfig};
 use linarb::trace::{self, Level};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -31,17 +30,16 @@ options:
                                   order, under one shared budget (first
                                   checkable certificate wins); any
                                   single engine name runs just that
-                                  engine with its certificate checked.
-                                  Omit the flag for the classic CEGAR
-                                  path
-  --oracle <incremental|fresh>    SMT oracle mode (default incremental)
+                                  engine with its certificate checked
+                                  (`cegar-nodt` is the paper's ablation
+                                  without decision trees). Omit the
+                                  flag for the classic CEGAR path
   --threads <n>                   portfolio race width (default 2; env
                                   LINARB_THREADS): engines running at
                                   once, never fewer than 2, so 1 and 2
                                   both run cegar beside spacer. Needs
                                   --engine, since the CEGAR loop is
                                   sequential
-  --no-dt                         disable decision-tree generalization
   --profile                       aggregate the span tree into a
                                   hierarchical self-profile; print a
                                   summary to stderr after solving
@@ -76,9 +74,7 @@ struct Cli {
     trace_level: Level,
     trace_out: Option<String>,
     stats: bool,
-    oracle: OracleMode,
     threads: Option<usize>,
-    no_dt: bool,
     profile: bool,
     profile_out: Option<String>,
     progress: bool,
@@ -95,9 +91,7 @@ fn parse_args() -> Result<Cli, String> {
         trace_level: Level::Off,
         trace_out: None,
         stats: false,
-        oracle: OracleMode::Incremental,
         threads: None,
-        no_dt: false,
         profile: false,
         profile_out: None,
         progress: false,
@@ -137,13 +131,6 @@ fn parse_args() -> Result<Cli, String> {
             }
             "--trace-out" => cli.trace_out = Some(value("--trace-out")?),
             "--stats" => cli.stats = true,
-            "--oracle" => {
-                cli.oracle = match value("--oracle")?.as_str() {
-                    "incremental" => OracleMode::Incremental,
-                    "fresh" => OracleMode::Fresh,
-                    other => return Err(format!("bad --oracle mode `{other}`")),
-                };
-            }
             "--threads" => {
                 let n: usize = value("--threads")?
                     .parse()
@@ -153,7 +140,6 @@ fn parse_args() -> Result<Cli, String> {
                 }
                 cli.threads = Some(n);
             }
-            "--no-dt" => cli.no_dt = true,
             "--profile" => cli.profile = true,
             "--profile-out" => {
                 cli.profile_out = Some(value("--profile-out")?);
@@ -280,11 +266,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut learn = LearnConfig::default();
-    if cli.no_dt {
-        learn.use_decision_tree = false;
-    }
-    let mut config = SolverConfig::with_learn_config(learn).with_oracle(cli.oracle);
+    let mut config = SolverConfig::default();
     if let Some(n) = cli.max_iterations {
         config.max_iterations = n;
     }
