@@ -176,11 +176,6 @@ pub struct SolverConfig {
     /// [`ProgressSnapshot`] per CEGAR round into the reporter (see
     /// [`progress`]). `None` (the default) costs nothing.
     pub progress: Option<ProgressReporter>,
-    /// Warm-start state captured from a previous solve of a
-    /// structurally similar system (see [`SolveSnapshot`]): negative
-    /// samples and seed directions are imported up front. `None` (the
-    /// default) starts cold.
-    pub warm_start: Option<Arc<SolveSnapshot>>,
 }
 
 impl SolverConfig {
@@ -198,7 +193,6 @@ impl SolverConfig {
             seeding: true,
             seed_atoms: Vec::new(),
             progress: None,
-            warm_start: None,
         }
     }
 
@@ -228,13 +222,6 @@ impl SolverConfig {
         self.progress = Some(progress);
         self
     }
-
-    /// Attaches warm-start state from a previous solve (see
-    /// [`SolverConfig::warm_start`]).
-    pub fn with_warm_start(mut self, snapshot: Arc<SolveSnapshot>) -> SolverConfig {
-        self.warm_start = Some(snapshot);
-        self
-    }
 }
 
 impl Default for SolverConfig {
@@ -247,14 +234,13 @@ impl fmt::Debug for SolverConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "SolverConfig {{ learner: {}, max_iterations: {}, oracle: {:?}, seeding: {}, seed_atoms: {}, progress: {}, warm_start: {} }}",
+            "SolverConfig {{ learner: {}, max_iterations: {}, oracle: {:?}, seeding: {}, seed_atoms: {}, progress: {} }}",
             self.learner.name(),
             self.max_iterations,
             self.oracle,
             self.seeding,
             self.seed_atoms.len(),
-            self.progress.is_some(),
-            self.warm_start.is_some()
+            self.progress.is_some()
         )
     }
 }
@@ -418,11 +404,6 @@ pub struct SolveStats {
     /// Always 0: every learner invocation runs the learner. Kept only
     /// for readers that still sum it; not exported.
     pub learn_memo_hits: usize,
-    /// Negative samples imported from a warm-start snapshot (0 without
-    /// [`SolverConfig::warm_start`]).
-    pub warm_negatives: usize,
-    /// Seed directions imported from a warm-start snapshot.
-    pub warm_seed_dirs: usize,
 }
 
 impl SolveStats {
@@ -443,8 +424,6 @@ impl SolveStats {
         report.set_counter("core.learned_db_size", self.learned_db_size as u64);
         report.set_counter("core.seeded_atoms", self.seeded_atoms as u64);
         report.set_counter("core.seed_hits", self.seed_hits);
-        report.set_counter("core.warm_negatives", self.warm_negatives as u64);
-        report.set_counter("core.warm_seed_dirs", self.warm_seed_dirs as u64);
     }
 
     /// The statistics as a standalone JSON report.
@@ -555,51 +534,6 @@ impl ClauseContext {
     /// Lifetime totals, over every solver this context has used.
     fn totals(&self) -> OracleTotals {
         self.retired.add(OracleTotals::of(&self.solver))
-    }
-}
-
-/// Warm-start state captured from a finished solve: the negative
-/// sample stores and the harvested seed directions.
-/// [`CegarSolver::snapshot`] captures it; [`SolverConfig::with_warm_start`]
-/// replays it into a new solve, typically of a *different but
-/// structurally similar* system (the serve daemon's near-miss tier).
-///
-/// Soundness: negatives only bias the learner (every `Sat` verdict is
-/// still oracle-verified clause by clause, and `Unsat` derivations
-/// are built exclusively from positives derived in-system), and seed
-/// directions are purely advisory.
-#[derive(Clone, Default)]
-pub struct SolveSnapshot {
-    /// Negative samples per predicate.
-    pub negatives: Vec<(PredId, Sample)>,
-    /// Seed-store directions per predicate.
-    pub seed_dirs: Vec<(PredId, Vec<BigInt>)>,
-}
-
-impl SolveSnapshot {
-    /// Whether the snapshot carries any state at all.
-    pub fn is_empty(&self) -> bool {
-        self.negatives.is_empty() && self.seed_dirs.is_empty()
-    }
-
-    /// Rewrites every predicate reference through `map` (producer id →
-    /// consumer id), dropping entries whose predicate has no image —
-    /// the bridge for transplanting a snapshot onto a different,
-    /// structurally matched system (canonical indices on both sides
-    /// define the map).
-    pub fn remap_preds(&self, map: &HashMap<PredId, PredId>) -> SolveSnapshot {
-        SolveSnapshot {
-            negatives: self
-                .negatives
-                .iter()
-                .filter_map(|(p, s)| map.get(p).map(|&np| (np, s.clone())))
-                .collect(),
-            seed_dirs: self
-                .seed_dirs
-                .iter()
-                .filter_map(|(p, d)| map.get(p).map(|&np| (np, d.clone())))
-                .collect(),
-        }
     }
 }
 
@@ -794,13 +728,11 @@ pub struct CegarSolver<'a> {
 impl<'a> CegarSolver<'a> {
     /// Creates a solver for the given system.
     pub fn new(sys: &'a ChcSystem, config: SolverConfig) -> CegarSolver<'a> {
-        let mut data: HashMap<PredId, Dataset> = sys
+        let data: HashMap<PredId, Dataset> = sys
             .preds()
             .iter()
             .map(|p| (p.id, Dataset::new(p.arity())))
             .collect();
-        let mut stats = SolveStats::default();
-        let warm = config.warm_start.clone();
         let mut seeds = SeedStore::new();
         if config.seeding {
             harvest_clause_seeds(sys, &mut seeds);
@@ -812,30 +744,7 @@ impl<'a> CegarSolver<'a> {
             for (p, atom) in &config.seed_atoms {
                 seeds.add_atom(*p, atom, &sys.pred(*p).params);
             }
-            // Warm-start directions join before pairwise closure so
-            // imported planes combine with the syntactic harvest.
-            if let Some(ws) = &warm {
-                let importable: Vec<(PredId, Vec<BigInt>)> = ws
-                    .seed_dirs
-                    .iter()
-                    .filter(|(p, dir)| {
-                        (p.0 as usize) < sys.num_preds()
-                            && dir.len() == sys.pred(*p).params.len()
-                    })
-                    .cloned()
-                    .collect();
-                stats.warm_seed_dirs = seeds.import_dirs(&importable);
-            }
             seeds.combine_pairs();
-        }
-        if let Some(ws) = &warm {
-            for (p, sample) in &ws.negatives {
-                if let Some(d) = data.get_mut(p) {
-                    if d.dim() == sample.len() && d.add_negative(sample.clone()) {
-                        stats.warm_negatives += 1;
-                    }
-                }
-            }
         }
         CegarSolver {
             sys,
@@ -844,35 +753,12 @@ impl<'a> CegarSolver<'a> {
             data,
             justif: HashMap::new(),
             contexts: HashMap::new(),
-            stats,
+            stats: SolveStats::default(),
             seeds,
             phase_oracle_us: 0,
             phase_resolve_us: 0,
             round: 0,
         }
-    }
-
-    /// Captures the warm-start state of this solve (see
-    /// [`SolveSnapshot`]): the negative sample stores and the seed
-    /// directions. Deterministic — entries are ordered by predicate
-    /// id. Cheap relative to a solve (clones of already-built state);
-    /// call it after [`solve`](Self::solve) returns.
-    pub fn snapshot(&self) -> SolveSnapshot {
-        let mut negatives = Vec::new();
-        let mut preds: Vec<PredId> = self.data.keys().copied().collect();
-        preds.sort();
-        for p in &preds {
-            for sample in self.data[p].negatives() {
-                negatives.push((*p, sample.clone()));
-            }
-        }
-        let mut seed_dirs = Vec::new();
-        for p in self.sys.preds() {
-            for plane in self.seeds.planes(p.id) {
-                seed_dirs.push((p.id, plane.dir().to_vec()));
-            }
-        }
-        SolveSnapshot { negatives, seed_dirs }
     }
 
     /// Statistics of the last [`solve`](Self::solve) run.
@@ -1427,6 +1313,31 @@ mod tests {
         (assert (forall ((x Int)) (=> (b x) (>= x 0))))
     "#;
 
+    /// A system with its goal `depth` (even) lists deep, alternating
+    /// `and` and `or` so that no level folds away.
+    fn nested_goal_system(depth: usize) -> String {
+        // `(assert (forall … (=> (p x) G)))` opens 3 lists above `G`.
+        let goal = (0..(depth - 4) / 2)
+            .fold("(>= x 0)".to_string(), |g, _| format!("(and (>= x 0) (or (= x 0) {g}))"));
+        format!(
+            "(declare-fun p (Int) Bool)
+             (assert (forall ((x Int)) (=> (= x 0) (p x))))
+             (assert (forall ((x Int)) (=> (p x) {goal})))"
+        )
+    }
+
+    #[test]
+    fn goal_nested_to_the_reader_limit_solves_on_a_default_stack() {
+        assert!(parse_chc(&nested_goal_system(linarb_logic::MAX_NESTING + 2)).is_err());
+        let text = nested_goal_system(linarb_logic::MAX_NESTING);
+        let solve = move || {
+            let sys = parse_chc(&text).unwrap();
+            CegarSolver::new(&sys, SolverConfig::default()).solve(&Budget::unlimited()).is_sat()
+        };
+        let on_2mib = std::thread::Builder::new().stack_size(2 << 20).spawn(solve).unwrap();
+        assert!(on_2mib.join().unwrap());
+    }
+
     #[test]
     fn two_predicates_chained() {
         let (r, _) = solve_text(TWO_PREDS);
@@ -1434,34 +1345,30 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_remap_renames_kept_pred_and_drops_the_rest() {
-        // A goal on each predicate gives both of them negatives.
-        let text = format!("{TWO_PREDS}(assert (forall ((x Int)) (=> (a x) (<= x 5))))");
-        let sys = parse_chc(&text).unwrap();
-        let (a, b) = (PredId(0), PredId(1));
-        assert_eq!(sys.pred(b).name, "b");
-        let mut solver = CegarSolver::new(&sys, SolverConfig::default().with_seeding(true));
-        assert!(solver.solve(&Budget::unlimited()).is_sat());
-        let snap = solver.snapshot();
-        let of = |snap: &SolveSnapshot, p: PredId| {
-            let negs: Vec<Sample> =
-                snap.negatives.iter().filter(|(q, _)| *q == p).map(|(_, s)| s.clone()).collect();
-            let dirs: Vec<Vec<BigInt>> =
-                snap.seed_dirs.iter().filter(|(q, _)| *q == p).map(|(_, d)| d.clone()).collect();
-            (negs, dirs)
+    fn injected_seed_atom_joins_the_seed_store() {
+        use linarb_arith::int;
+        // Every clause atom mentions `z`, which is no argument of `p`,
+        // and the fact's arguments are no plain variables, so the clause
+        // harvest finds no direction for `p`. The invariant needs
+        // `y - x >= 1`.
+        let sys = parse_chc(
+            "(declare-fun p (Int Int) Bool)
+             (assert (forall ((z Int)) (=> (>= z 0) (p (+ z 1) (+ z 2)))))
+             (assert (forall ((x Int) (y Int) (z Int))
+                 (=> (and (p x y) (= y (+ z 1))) (>= z x))))",
+        )
+        .unwrap();
+        let p = PredId(0);
+        let (x, y) = (sys.pred(p).params[0], sys.pred(p).params[1]);
+        let atom = Atom::ge(LinExpr::var(y) - LinExpr::var(x), LinExpr::constant(int(1)));
+        let seeded = |config: SolverConfig| {
+            let mut solver = CegarSolver::new(&sys, config);
+            assert!(solver.solve(&Budget::unlimited()).is_sat());
+            solver.stats().seeded_atoms
         };
-        let (a_negs, a_dirs) = of(&snap, a);
-        let (b_negs, b_dirs) = of(&snap, b);
-        for (negs, dirs) in [(&a_negs, &a_dirs), (&b_negs, &b_dirs)] {
-            assert!(!negs.is_empty() && !dirs.is_empty(), "both preds carry both kinds");
-        }
-
-        // `b` moves to a fresh id; `a` has no image.
-        let moved = PredId(7);
-        let remapped = snap.remap_preds(&HashMap::from([(b, moved)]));
-        assert_eq!(of(&remapped, moved), (b_negs, b_dirs));
-        assert!(remapped.negatives.iter().all(|(p, _)| *p == moved), "a's negatives remain");
-        assert!(remapped.seed_dirs.iter().all(|(p, _)| *p == moved), "a's directions remain");
+        let cold = seeded(SolverConfig::default());
+        let warm = seeded(SolverConfig::default().with_seed_atoms(vec![(p, atom)]));
+        assert_eq!(warm, cold + 1);
     }
 
     #[test]

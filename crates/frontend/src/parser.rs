@@ -25,6 +25,14 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting [`parse_program`] accepts, counting every
+/// parenthesis, unary `-` or `!`, call and statement body that opens
+/// a level. The parser and the verification-condition generator
+/// recurse once per level, so a program nested to this depth still
+/// solves on a thread with the default 2 MiB stack; deeper input is a
+/// parse error, not a stack overflow.
+pub const MAX_NESTING: usize = 128;
+
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
     Ident(String),
@@ -35,6 +43,8 @@ enum Tok {
 struct Lexer {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// Levels currently open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 const PUNCTS: &[&str] = &[
@@ -165,6 +175,23 @@ impl Lexer {
             false
         }
     }
+
+    /// Runs `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Lexer) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::new(
+                self.line(),
+                format!("nested deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
 }
 
 /// Parses a mini-C program.
@@ -187,7 +214,7 @@ impl Lexer {
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let toks = lex(src)?;
-    let mut lx = Lexer { toks, pos: 0 };
+    let mut lx = Lexer { toks, pos: 0, depth: 0 };
     let mut functions = Vec::new();
     while lx.peek().is_some() {
         functions.push(parse_function(&mut lx)?);
@@ -293,11 +320,13 @@ fn parse_stmt(lx: &mut Lexer) -> Result<Stmt, ParseError> {
 }
 
 fn parse_block_or_stmt(lx: &mut Lexer) -> Result<Vec<Stmt>, ParseError> {
-    if lx.peek() == Some(&Tok::Punct("{")) {
-        parse_block(lx)
-    } else {
-        Ok(vec![parse_stmt(lx)?])
-    }
+    lx.nested(|lx| {
+        if lx.peek() == Some(&Tok::Punct("{")) {
+            parse_block(lx)
+        } else {
+            Ok(vec![parse_stmt(lx)?])
+        }
+    })
 }
 
 // Conditions: || over && over unary over comparison.
@@ -321,13 +350,13 @@ fn parse_cond_and(lx: &mut Lexer) -> Result<Cond, ParseError> {
 
 fn parse_cond_unary(lx: &mut Lexer) -> Result<Cond, ParseError> {
     if lx.eat("!") {
-        return Ok(Cond::Not(Box::new(parse_cond_unary(lx)?)));
+        return lx.nested(|lx| Ok(Cond::Not(Box::new(parse_cond_unary(lx)?))));
     }
     // `(` could open a nested condition or an arithmetic expression;
     // try condition first by scanning for a comparison at depth 0.
     if lx.peek() == Some(&Tok::Punct("(")) && cond_ahead(lx) {
         lx.expect("(")?;
-        let c = parse_cond(lx)?;
+        let c = lx.nested(parse_cond)?;
         lx.expect(")")?;
         return Ok(c);
     }
@@ -420,13 +449,13 @@ fn parse_term(lx: &mut Lexer) -> Result<Expr, ParseError> {
 
 fn parse_unary(lx: &mut Lexer) -> Result<Expr, ParseError> {
     if lx.eat("-") {
-        return Ok(Expr::Neg(Box::new(parse_unary(lx)?)));
+        return lx.nested(|lx| Ok(Expr::Neg(Box::new(parse_unary(lx)?))));
     }
     match lx.next() {
         Some(Tok::Num(n)) => Ok(Expr::Lit(n)),
         Some(Tok::Punct("*")) => Ok(Expr::Nondet),
         Some(Tok::Punct("(")) => {
-            let e = parse_expr(lx)?;
+            let e = lx.nested(parse_expr)?;
             lx.expect(")")?;
             Ok(e)
         }
@@ -441,7 +470,7 @@ fn parse_unary(lx: &mut Lexer) -> Result<Expr, ParseError> {
                 let mut args = Vec::new();
                 if !lx.eat(")") {
                     loop {
-                        args.push(parse_expr(lx)?);
+                        args.push(lx.nested(parse_expr)?);
                         if lx.eat(")") {
                             break;
                         }
@@ -459,6 +488,34 @@ fn parse_unary(lx: &mut Lexer) -> Result<Expr, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use linarb_smt::Budget;
+    use linarb_solver::{CegarSolver, SolverConfig};
+
+    /// `main` with an expression in `parens` parentheses as the body of
+    /// `ifs` nested `if` statements: `ifs + parens` levels deep.
+    fn nested_program(ifs: usize, parens: usize) -> String {
+        format!(
+            "void main() {{ int x = 1; {}x = {}x{} + 1; assert(x >= 1); }}",
+            "if (x > 0) ".repeat(ifs),
+            "(".repeat(parens),
+            ")".repeat(parens)
+        )
+    }
+
+    #[test]
+    fn program_nested_to_the_limit_solves_on_a_default_stack_and_deeper_is_an_error() {
+        for (ifs, parens) in [(0, MAX_NESTING), (MAX_NESTING, 0)] {
+            let err = parse_program(&nested_program(ifs, parens + 1)).unwrap_err();
+            assert!(err.to_string().contains("nested deeper than"), "{err}");
+            let src = nested_program(ifs, parens);
+            let solve = move || {
+                let sys = crate::compile(&src).unwrap();
+                CegarSolver::new(&sys, SolverConfig::default()).solve(&Budget::unlimited()).is_sat()
+            };
+            let on_2mib = std::thread::Builder::new().stack_size(2 << 20).spawn(solve).unwrap();
+            assert!(on_2mib.join().unwrap(), "{ifs} ifs, {parens} parentheses");
+        }
+    }
 
     #[test]
     fn parses_fig1_program() {

@@ -52,5 +52,5 @@ pub use formula::Formula;
 pub use linexpr::LinExpr;
 pub use modatom::ModAtom;
 pub use model::Model;
-pub use parser::{parse_chc, ParseChcError};
+pub use parser::{parse_chc, ParseChcError, MAX_NESTING};
 pub use var::Var;

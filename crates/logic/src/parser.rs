@@ -8,7 +8,7 @@
 //! defining constraints).
 
 use crate::atom::Atom;
-use crate::chc::{ChcSystem, PredApp, PredId};
+use crate::chc::{ChcSystem, PredApp};
 use crate::formula::Formula;
 use crate::linexpr::LinExpr;
 use crate::var::Var;
@@ -36,6 +36,13 @@ impl fmt::Display for ParseChcError {
 }
 
 impl std::error::Error for ParseChcError {}
+
+/// Deepest list nesting [`parse_chc`] accepts. Everything after the
+/// reader (formula lowering, the solver's formula walks, dropping the
+/// tree) recurses once per level, so input nested to this depth still
+/// solves on a thread with the default 2 MiB stack; deeper input is a
+/// parse error, not a stack overflow.
+pub const MAX_NESTING: usize = 200;
 
 // --------------------------------------------------------------- s-expr
 
@@ -97,7 +104,14 @@ fn parse_sexps(tokens: &[String]) -> Result<Vec<Sexp>, ParseChcError> {
     let mut stack: Vec<Vec<Sexp>> = vec![Vec::new()];
     for t in tokens {
         match t.as_str() {
-            "(" => stack.push(Vec::new()),
+            "(" => {
+                if stack.len() > MAX_NESTING {
+                    return Err(ParseChcError::new(format!(
+                        "lists nested deeper than {MAX_NESTING} levels"
+                    )));
+                }
+                stack.push(Vec::new());
+            }
             ")" => {
                 let done = stack.pop().ok_or_else(|| ParseChcError::new("unbalanced ')'"))?;
                 stack
@@ -304,31 +318,29 @@ impl ClauseCtx<'_> {
                         ]);
                         Ok((f, Vec::new()))
                     }
-                    name => {
-                        // predicate application
-                        let p = self
-                            .sys
-                            .pred_by_name(name)
-                            .ok_or_else(|| {
-                                ParseChcError::new(format!("unknown predicate `{name}`"))
-                            })?
-                            .id;
-                        let arity = self.sys.pred(p).arity();
-                        if rest.len() != arity {
-                            return Err(ParseChcError::new(format!(
-                                "predicate `{name}` expects {arity} arguments, got {}",
-                                rest.len()
-                            )));
-                        }
-                        let mut args = Vec::new();
-                        for r in rest {
-                            args.push(self.term(r)?);
-                        }
-                        Ok((Formula::True, vec![PredApp::new(p, args)]))
-                    }
+                    name => Ok((Formula::True, vec![self.pred_app(name, rest)?])),
                 }
             }
         }
+    }
+
+    /// The application of predicate `name` to `args`, whose number
+    /// must match the predicate's declared arity.
+    fn pred_app(&mut self, name: &str, args: &[Sexp]) -> Result<PredApp, ParseChcError> {
+        let p = self
+            .sys
+            .pred_by_name(name)
+            .ok_or_else(|| ParseChcError::new(format!("unknown predicate `{name}`")))?
+            .id;
+        let arity = self.sys.pred(p).arity();
+        if args.len() != arity {
+            return Err(ParseChcError::new(format!(
+                "predicate `{name}` expects {arity} arguments, got {}",
+                args.len()
+            )));
+        }
+        let args = args.iter().map(|a| self.term(a)).collect::<Result<_, _>>()?;
+        Ok(PredApp::new(p, args))
     }
 }
 
@@ -382,6 +394,14 @@ pub fn parse_chc(input: &str) -> Result<ChcSystem, ParseChcError> {
                     Some(Sexp::List(a)) => a.len(),
                     _ => return Err(ParseChcError::new("declare-fun needs an argument list")),
                 };
+                if let Some(p) = sys.pred_by_name(name) {
+                    if p.arity() != args {
+                        return Err(ParseChcError::new(format!(
+                            "predicate `{name}` redeclared with {args} arguments, was {}",
+                            p.arity()
+                        )));
+                    }
+                }
                 sys.declare_pred(name, args);
             }
             "declare-var" | "declare-const" => {
@@ -470,27 +490,19 @@ fn parse_assert(
 
     // Parse head: a predicate application or a known formula.
     enum Head {
-        App(PredId, Vec<LinExpr>),
+        App(PredApp),
         Goal(Formula),
     }
     let head = match head_sexp {
         Sexp::Sym(t) if t == "false" => Head::Goal(Formula::False),
         Sexp::Sym(t) if t == "true" => Head::Goal(Formula::True),
-        Sexp::Sym(t) if ctx.sys.pred_by_name(t).is_some() => {
-            let p = ctx.sys.pred_by_name(t).expect("checked").id;
-            Head::App(p, Vec::new())
-        }
+        Sexp::Sym(t) if ctx.sys.pred_by_name(t).is_some() => Head::App(ctx.pred_app(t, &[])?),
         Sexp::List(items)
             if matches!(items.first(),
                 Some(Sexp::Sym(n)) if ctx.sys.pred_by_name(n).is_some()) =>
         {
-            let (name, args_s) = split_op(items)?;
-            let p = ctx.sys.pred_by_name(name).expect("checked").id;
-            let mut args = Vec::new();
-            for a in args_s {
-                args.push(ctx.term(a)?);
-            }
-            Head::App(p, args)
+            let (name, args) = split_op(items)?;
+            Head::App(ctx.pred_app(name, args)?)
         }
         other => {
             let defs_before = ctx.defs.len();
@@ -508,8 +520,8 @@ fn parse_assert(
     constraint_parts.extend(ctx.defs);
     let constraint = Formula::and(constraint_parts);
     match head {
-        Head::App(p, args) => {
-            sys.rule(apps, constraint, p, args);
+        Head::App(app) => {
+            sys.rule(apps, constraint, app.pred, app.args);
         }
         Head::Goal(g) => {
             sys.query(apps, constraint, g);
@@ -636,6 +648,39 @@ mod tests {
             (assert (forall ((x Int) (y Int)) (=> (= x (* y y)) (p x))))
         "#;
         assert!(parse_chc(text).is_err());
+    }
+
+    fn error_of(text: &str) -> String {
+        parse_chc(text).expect_err("must be rejected").to_string()
+    }
+
+    #[test]
+    fn head_with_too_many_arguments_rejected() {
+        let text = "(declare-fun p (Int) Bool)
+                    (assert (forall ((x Int) (y Int)) (=> (= x 0) (p x y))))";
+        assert!(error_of(text).contains("`p` expects 1 arguments, got 2"));
+    }
+
+    #[test]
+    fn bare_head_of_a_unary_predicate_rejected() {
+        let text = "(declare-fun p (Int) Bool) (assert (forall ((x Int)) (=> (= x 0) p)))";
+        assert!(error_of(text).contains("`p` expects 1 arguments, got 0"));
+    }
+
+    #[test]
+    fn redeclaration_with_another_arity_rejected() {
+        let text = "(declare-fun p (Int) Bool) (declare-fun p (Int Int) Bool)";
+        assert!(error_of(text).contains("`p` redeclared with 2 arguments, was 1"));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_rejected() {
+        // `(assert (and … (>= 1 0)))`, `depth` lists deep.
+        let nested = |depth: usize| {
+            format!("(assert {}(>= 1 0){})", "(and ".repeat(depth - 2), ")".repeat(depth - 2))
+        };
+        assert_eq!(parse_chc(&nested(MAX_NESTING)).unwrap().num_clauses(), 1);
+        assert!(error_of(&nested(MAX_NESTING + 1)).contains("nested deeper than"));
     }
 
     #[test]

@@ -150,21 +150,6 @@ impl SeedStore {
         }
     }
 
-    /// Bulk-imports directions harvested elsewhere — a warm-start
-    /// snapshot, a cached neighbor's store — in the given order
-    /// (callers control determinism). Each entry goes through
-    /// [`add_dir`](Self::add_dir)'s canonicalization, dedup, and cap;
-    /// returns how many were admitted.
-    pub fn import_dirs(&mut self, dirs: &[(PredId, Vec<BigInt>)]) -> usize {
-        let mut admitted = 0;
-        for (pred, dir) in dirs {
-            if self.add_dir(*pred, dir.clone()) {
-                admitted += 1;
-            }
-        }
-        admitted
-    }
-
     /// The planes stored for `pred` (empty slice when none).
     pub fn planes(&self, pred: PredId) -> &[SeedPlane] {
         self.by_pred.get(&pred).map_or(&[], |e| e.planes.as_slice())

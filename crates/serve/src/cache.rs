@@ -13,10 +13,11 @@
 //!   The cached verdict is translated into the submitting system's
 //!   coordinates and independently re-checked before being served.
 //! * **Near tier.** When no exact entry matches, the best neighbor by
-//!   per-clause fingerprint overlap donates its solver snapshot and
-//!   invariant atoms as a warm start. Warm-start material only biases
-//!   the search — verdicts still come from a full solve — so a poor
-//!   neighbor costs time, not soundness.
+//!   per-clause fingerprint overlap donates the atoms of its cached
+//!   invariant ([`invariant_atoms`]) as seed planes for a full solve.
+//!   Seed planes only bias the learner — verdicts still come from the
+//!   solve — so a poor neighbor costs time, not soundness. An unsat
+//!   neighbor has no invariant and donates nothing.
 //!
 //! The cache is bounded (FIFO eviction) and all iteration orders are
 //! deterministic (insertion order), keeping daemon behavior
@@ -27,8 +28,8 @@ use std::sync::Arc;
 
 use linarb_arith::BigInt;
 use linarb_frontend::Canon;
-use linarb_logic::{Atom, ChcSystem, Formula, Interpretation, Model, Var};
-use linarb_solver::{DerivationNode, SolveResult, SolveSnapshot};
+use linarb_logic::{Atom, ChcSystem, Formula, Interpretation, Model, PredId, Var};
+use linarb_solver::{DerivationNode, SolveResult};
 
 /// Minimum fingerprint-overlap fraction for a near-tier donor.
 const NEAR_MIN_FRAC: f64 = 0.5;
@@ -61,23 +62,9 @@ pub struct CanonDeriv {
     pub children: Vec<CanonDeriv>,
 }
 
-/// Warm-start material donated to near-tier consumers.
-#[derive(Clone, Default)]
-pub struct WarmStart {
-    /// The producer's solver snapshot, still in the producer's
-    /// `PredId` space ([`SolveSnapshot::remap_preds`] translates it).
-    pub snapshot: SolveSnapshot,
-    /// Atoms of the producer's final invariants (Sat runs only), per
-    /// canonical predicate index, over canonical parameter variables.
-    pub atoms: Vec<(usize, Atom)>,
-}
-
-/// One cache entry: the canonical form, the verdict, and the solver
-/// state that produced it.
+/// One cache entry: the canonical form and the verdict.
 #[derive(Clone)]
 pub struct CacheEntry {
-    /// Name of the job that populated the entry (debugging only).
-    pub name: String,
     /// Full canonical text; exact hits compare this.
     pub text: String,
     /// Sorted per-clause shape hashes for near-miss search.
@@ -86,11 +73,6 @@ pub struct CacheEntry {
     pub arities: Vec<usize>,
     /// The memoized verdict.
     pub verdict: CachedVerdict,
-    /// Producer canonical index → producer `PredId`, for translating
-    /// [`WarmStart::snapshot`] into a consumer's `PredId` space.
-    pub pred_of_canon: Vec<linarb_logic::PredId>,
-    /// Warm-start material for near-tier consumers.
-    pub warm: WarmStart,
 }
 
 /// Translates a fresh solve result into canonical coordinates for
@@ -164,18 +146,18 @@ pub fn restore_verdict(canon: &Canon, sys: &ChcSystem, v: &CachedVerdict) -> Opt
             let mut interp = Interpretation::new();
             for (ci, f) in formulas.iter().enumerate() {
                 let pid = *canon.pred_of_canon.get(ci)?;
-                let params = &sys.pred(pid).params;
-                let map: HashMap<Var, Var> = params
-                    .iter()
-                    .enumerate()
-                    .map(|(j, v)| (Var::from_index(j as u32), *v))
-                    .collect();
-                interp.insert(pid, f.rename(&map));
+                interp.insert(pid, f.rename(&from_canon_params(sys, pid)));
             }
             Some(SolveResult::Sat(interp))
         }
         CachedVerdict::Unsat(tree) => deriv_from_canon(canon, tree).map(SolveResult::Unsat),
     }
+}
+
+/// Renames canonical parameter `v<j>` to `pid`'s `j`-th parameter.
+pub(crate) fn from_canon_params(sys: &ChcSystem, pid: PredId) -> HashMap<Var, Var> {
+    let params = &sys.pred(pid).params;
+    params.iter().enumerate().map(|(j, v)| (Var::from_index(j as u32), *v)).collect()
 }
 
 fn deriv_from_canon(canon: &Canon, n: &CanonDeriv) -> Option<DerivationNode> {
@@ -276,8 +258,8 @@ impl InvariantCache {
 
     /// Near-tier lookup: the entry with the highest fingerprint
     /// overlap fraction, provided it reaches half of the larger
-    /// fingerprint and its canonical arities match (snapshot predicate
-    /// remapping requires aligned signatures). Ties keep the earliest
+    /// fingerprint and its canonical arities match (donated atoms are
+    /// renamed parameter by parameter). Ties keep the earliest
     /// inserted entry, so results do not depend on hash order.
     pub fn nearest(&self, canon: &Canon) -> Option<Arc<CacheEntry>> {
         let mut best: Option<(f64, Arc<CacheEntry>)> = None;

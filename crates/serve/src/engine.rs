@@ -12,20 +12,17 @@
 //! sequential CEGAR loop, so per-job trajectories are identical at
 //! every batch width.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use linarb_frontend::{canonicalize, Canon};
-use linarb_logic::{parse_chc, Atom, ChcSystem, PredId, Var};
+use linarb_logic::{parse_chc, Atom, ChcSystem, PredId};
 use linarb_portfolio::parallel_map;
 use linarb_smt::Budget;
-use linarb_solver::{
-    verify_interpretation, CegarSolver, OracleMode, SolveResult, SolveSnapshot, SolverConfig,
-};
+use linarb_solver::{verify_interpretation, CegarSolver, OracleMode, SolveResult, SolverConfig};
 use linarb_trace::json_string;
 
-use crate::cache::{self, CacheEntry, InvariantCache, WarmStart};
+use crate::cache::{self, CacheEntry, InvariantCache};
 use crate::proto::JobSpec;
 
 /// Configuration of a [`ServeCore`].
@@ -97,7 +94,7 @@ impl JobInput {
 pub enum Tier {
     /// Memoized verdict served after re-verification.
     Exact,
-    /// Fresh solve warm-started from the closest neighbor.
+    /// Fresh solve seeded with the closest neighbor's invariant atoms.
     Near,
     /// Fresh cold solve (no usable neighbor).
     Miss,
@@ -179,7 +176,7 @@ pub struct ServeStats {
     pub jobs: u64,
     /// Exact-tier hits served.
     pub exact_hits: u64,
-    /// Near-tier warm starts.
+    /// Near-tier solves (seeded with a neighbor's invariant atoms).
     pub near_hits: u64,
     /// Cold solves (cache enabled, no usable neighbor).
     pub misses: u64,
@@ -400,55 +397,33 @@ impl ServeCore {
             }
         }
 
-        // Near tier: translate the best neighbor's solver state into
-        // this system's predicate space and warm-start the solve.
-        let mut warm: Option<Arc<SolveSnapshot>> = None;
-        let mut seed_atoms: Vec<(PredId, Atom)> = Vec::new();
-        let mut tier = if self.cfg.cache { Tier::Miss } else { Tier::Off };
-        if self.cfg.cache {
-            let near = self.cache.lock().unwrap().nearest(&canon);
-            if let Some(entry) = near {
-                let mut pred_map: HashMap<PredId, PredId> = HashMap::new();
-                for (ci, producer) in entry.pred_of_canon.iter().enumerate() {
-                    if let Some(consumer) = canon.pred_of_canon.get(ci) {
-                        pred_map.insert(*producer, *consumer);
-                    }
-                }
-                let snap = entry.warm.snapshot.remap_preds(&pred_map);
-                if !snap.is_empty() {
-                    warm = Some(Arc::new(snap));
-                }
-                for (ci, atom) in &entry.warm.atoms {
-                    if let Some(pid) = canon.pred_of_canon.get(*ci) {
-                        let params = &sys.pred(*pid).params;
-                        let map: HashMap<Var, Var> = params
-                            .iter()
-                            .enumerate()
-                            .map(|(j, v)| (Var::from_index(j as u32), *v))
-                            .collect();
-                        seed_atoms.push((*pid, atom.rename(&map)));
-                    }
-                }
-                if warm.is_some() || !seed_atoms.is_empty() {
-                    tier = Tier::Near;
-                }
-            }
-        }
+        // Near tier: carry the best neighbor's invariant atoms into
+        // this system's parameter space as seed planes.
+        let near = if self.cfg.cache { self.cache.lock().unwrap().nearest(&canon) } else { None };
+        let seed_atoms: Vec<(PredId, Atom)> = near
+            .map_or_else(Vec::new, |entry| cache::invariant_atoms(&entry.verdict))
+            .into_iter()
+            .filter_map(|(ci, atom)| {
+                let pid = *canon.pred_of_canon.get(ci)?;
+                Some((pid, atom.rename(&cache::from_canon_params(&sys, pid))))
+            })
+            .collect();
+        let tier = match (self.cfg.cache, seed_atoms.is_empty()) {
+            (false, _) => Tier::Off,
+            (true, true) => Tier::Miss,
+            (true, false) => Tier::Near,
+        };
 
-        let (result, snapshot, detail) = run_solver(&sys, warm, seed_atoms, &budget);
+        let (result, detail) = run_solver(&sys, seed_atoms, &budget);
 
         // Memoize definite verdicts (in canonical coordinates).
         let entry = if self.cfg.cache {
             cache::cache_verdict(&canon, &sys, &result).map(|cv| {
-                let atoms = cache::invariant_atoms(&cv);
                 let entry = CacheEntry {
-                    name: name.clone(),
                     text: canon.text.clone(),
                     fingerprint: canon.fingerprint.clone(),
                     arities: canon.arities.clone(),
                     verdict: cv,
-                    pred_of_canon: canon.pred_of_canon.clone(),
-                    warm: WarmStart { snapshot: snapshot.unwrap_or_default(), atoms },
                 };
                 (canon.key.clone(), entry)
             })
@@ -476,27 +451,17 @@ impl ServeCore {
 /// the incremental oracle and are not measured through the daemon.
 fn run_solver(
     sys: &ChcSystem,
-    warm: Option<Arc<SolveSnapshot>>,
     seed_atoms: Vec<(PredId, Atom)>,
     budget: &Budget,
-) -> (SolveResult, Option<SolveSnapshot>, String) {
-    let mut config =
+) -> (SolveResult, String) {
+    let config =
         SolverConfig::default().with_oracle(OracleMode::Fresh).with_seed_atoms(seed_atoms);
-    if let Some(ws) = warm {
-        config = config.with_warm_start(ws);
-    }
-    let mut solver = CegarSolver::new(sys, config);
-    let result = solver.solve(budget);
-    match &result {
-        SolveResult::Unknown(reason) => {
-            let detail = format!("{reason:?}");
-            (result, None, detail)
-        }
-        _ => {
-            let snapshot = solver.snapshot();
-            (result, Some(snapshot), String::new())
-        }
-    }
+    let result = CegarSolver::new(sys, config).solve(budget);
+    let detail = match &result {
+        SolveResult::Unknown(reason) => format!("{reason:?}"),
+        _ => String::new(),
+    };
+    (result, detail)
 }
 
 /// Byproducts of a fresh (non-exact-hit) solve.

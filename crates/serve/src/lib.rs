@@ -16,10 +16,12 @@
 //!   hit is therefore never trusted blindly — staleness or a
 //!   canonicalization bug costs a cache miss, not soundness.
 //! * **Near tier.** Systems with no exact hit are matched to the
-//!   closest cached neighbor by structural fingerprint overlap, and
-//!   the neighbor's solver state — seed directions and learner
-//!   negatives ([`linarb_solver::SolveSnapshot`]) plus its invariant
-//!   atoms — warm starts the fresh solve.
+//!   closest cached neighbor by structural fingerprint overlap. The
+//!   atoms of the neighbor's cached invariant are the fresh solve's
+//!   only warm-start input: they join its seed store as candidate
+//!   separating planes ([`linarb_solver::SolverConfig::seed_atoms`]).
+//!   A neighbor with an unsat verdict has no invariant, so that job
+//!   solves cold and counts as a miss.
 //!
 //! Fresh solves run the CEGAR engine on the stateless oracle
 //! (`OracleMode::Fresh`), which carries no per-clause state between

@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 
 use linarb_serve::engine::{JobInput, ServeConfig, ServeCore, Source, Tier};
 use linarb_serve::client::Client;
+use linarb_serve::proto::{render_batch, JobSpec};
 use linarb_serve::replay::variant;
 use linarb_serve::server::{BindAddr, Listener, IO_TIMEOUT};
 use linarb_smt::Budget;
@@ -56,7 +57,9 @@ fn unsat_verdicts_cache_and_replay() {
 
 #[test]
 fn perturbed_resubmission_is_a_near_hit_with_the_cold_verdict() {
-    for bench in [fig1(), fibo_unsafe()] {
+    // A sat base donates its invariant's atoms; an unsat base has no
+    // invariant to give, so its neighbor solves cold as a miss.
+    for (bench, tier) in [(fig1(), Tier::Near), (fibo_unsafe(), Tier::Miss)] {
         let core = ServeCore::new(test_config());
         assert_eq!(core.submit_batch(vec![job(0, &bench)])[0].tier, Tier::Miss);
         // Variant 0 of every eight is the constant perturbation.
@@ -66,7 +69,7 @@ fn perturbed_resubmission_is_a_near_hit_with_the_cold_verdict() {
             name: format!("{}@0", bench.name),
             source: Source::System(perturbed.clone()),
         }]);
-        assert_eq!(out[0].tier, Tier::Near, "{}: perturbed resubmission", bench.name);
+        assert_eq!(out[0].tier, tier, "{}: perturbed resubmission", bench.name);
         let cold = CegarSolver::new(&perturbed, SolverConfig::default())
             .solve(&Budget::timeout(Duration::from_secs(60)));
         let cold = match cold {
@@ -171,6 +174,27 @@ fn malformed_frames_get_error_responses() {
     // The connection survives a bad request.
     let pong = client.call("{\"op\":\"ping\"}").unwrap();
     assert!(pong.contains("\"ok\":true"));
+    client.call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_head_arity_mismatch_is_an_error_result_beside_a_good_job() {
+    let (addr, dir) = unix_addr("arity");
+    let (addr, handle) = start_daemon(addr);
+    let mut client = Client::connect(&addr).unwrap();
+    let bad = "(declare-fun p (Int) Bool)\
+               (assert (forall ((x Int) (y Int)) (=> (= x 0) (p x y))))";
+    let jobs = [(1, fig1().system.to_smtlib()), (2, bad.to_string())].map(|(id, program)| {
+        JobSpec { id, name: format!("job{id}"), format: "smt2".to_string(), program }
+    });
+    let reply = json::parse(&client.call(&render_batch(&jobs)).unwrap()).unwrap();
+    let Some(Json::Arr(results)) = reply.get("results") else { panic!("no results: {reply:?}") };
+    let verdict = |i: usize| results[i].get("verdict").and_then(Json::as_str);
+    assert_eq!((verdict(0), verdict(1)), (Some("sat"), Some("error")));
+    let pong = client.call("{\"op\":\"ping\"}").unwrap();
+    assert!(pong.contains("\"ok\":true"), "bad ping reply: {pong}");
     client.call("{\"op\":\"shutdown\"}").unwrap();
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);

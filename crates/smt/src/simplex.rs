@@ -605,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn backtrack_restores_bounds_and_warm_starts() {
+    fn backtrack_restores_bounds_and_keeps_the_basis() {
         // Assert a box, take a point, tighten into infeasibility, pop:
         // the original box must be feasible again, and the check after
         // the pop starts from the previous vertex (warm basis).

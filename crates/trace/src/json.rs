@@ -75,7 +75,7 @@ impl std::error::Error for JsonError {}
 /// trailing garbage rejected).
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let b = text.as_bytes();
-    let mut p = Parser { s: text, b, i: 0 };
+    let mut p = Parser { s: text, b, i: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -99,10 +99,18 @@ pub fn validate_jsonl(text: &str) -> Result<usize, (usize, JsonError)> {
     Ok(n)
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The reader and
+/// the drop of the parsed value recurse once per level, so a document
+/// nested to this depth still parses on a thread with the default
+/// 2 MiB stack; deeper input is an error, not a stack overflow.
+pub const MAX_NESTING: usize = 1000;
+
 struct Parser<'a> {
     s: &'a str,
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -144,8 +152,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(c @ (b'[' | b'{')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(self.err(&format!("nested deeper than {MAX_NESTING} levels")));
+                }
+                self.depth += 1;
+                let v = if c == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -426,6 +441,16 @@ mod tests {
             v = items[0].get("k").unwrap();
         }
         assert_eq!(v.as_f64(), Some(1.0));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_rejected() {
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        let at_limit = move || parse(&nested(MAX_NESTING)).is_ok();
+        let on_2mib = std::thread::Builder::new().stack_size(2 << 20).spawn(at_limit).unwrap();
+        assert!(on_2mib.join().unwrap());
+        let err = parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper than"), "{err}");
     }
 
     #[test]

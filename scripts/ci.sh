@@ -72,7 +72,8 @@ echo "== serve smoke (daemon + batch over a unix socket and over tcp) =="
 # End-to-end through the daemon: start `linarb serve`, submit a batch
 # of example programs over the socket, and require (a) the verdicts to
 # match the single-shot CLI on the same files, (b) a repeated
-# submission to be a verified exact cache hit, (c) a clean exit on
+# submission to be a verified exact cache hit, (c) an `error` result
+# for a malformed job and a live daemon after it, (d) a clean exit on
 # `shutdown`. The daemon handles connections sequentially and the
 # cache is a pure function of the submission sequence, so this is
 # deterministic. Run once per transport; the daemon's ready line names
@@ -108,6 +109,24 @@ serve_smoke() {
         || { echo "serve smoke: repeat submission missed the cache on $addr: $repeat" >&2; exit 1; }
     echo "$repeat" | grep -q 'verified=true' \
         || { echo "serve smoke: exact hit served unverified on $addr: $repeat" >&2; exit 1; }
+    # A head applied to the wrong number of arguments is a parse error
+    # of that one job: the client prints `error` and exits 1, and the
+    # daemon keeps serving.
+    local bad status pong
+    bad="$(mktemp /tmp/linarb_serve_ci.XXXXXX.smt2)"
+    printf '%s\n' '(declare-fun p (Int) Bool)' \
+        '(assert (forall ((x Int) (y Int)) (=> (= x 0) (p x y))))' >"$bad"
+    status=0
+    served="$(cargo run --release --offline -p linarb --bin linarb -- \
+        client --addr "$addr" "$bad")" || status=$?
+    [ "$status" = 1 ] && [ "$(echo "$served" | awk '{print $2}')" = error ] \
+        || { echo "serve smoke: head arity mismatch gave '$served' (exit $status) on $addr" >&2; exit 1; }
+    rm -f "$bad"
+    status=0
+    pong="$(cargo run --release --offline -p linarb --bin linarb -- \
+        client --addr "$addr" --op ping)" || status=$?
+    [ "$status" = 0 ] && echo "$pong" | grep -q '"ok":true' \
+        || { echo "serve smoke: no ping reply after a bad job on $addr: '$pong' (exit $status)" >&2; exit 1; }
     cargo run --release --offline -p linarb --bin linarb -- \
         client --addr "$addr" --op shutdown >/dev/null
     wait "$serve_pid"
