@@ -41,22 +41,11 @@ pub enum InterpMode {
     TraceRefinement,
 }
 
-/// Configuration for [`UnwindInterp`].
-#[derive(Clone, Copy, Debug)]
-pub struct InterpConfig {
-    /// Strategy.
-    pub mode: InterpMode,
-    /// Maximum unwinding height.
-    pub max_depth: usize,
-    /// Cap on traces per depth (DNF × skeleton product).
-    pub max_traces: usize,
-}
+/// Maximum unwinding height.
+const MAX_DEPTH: usize = 28;
 
-impl Default for InterpConfig {
-    fn default() -> Self {
-        InterpConfig { mode: InterpMode::Duality, max_depth: 28, max_traces: 512 }
-    }
-}
+/// Cap on traces per depth (DNF × skeleton product).
+const MAX_TRACES: usize = 512;
 
 /// Result of an unwinding-interpolation run.
 #[derive(Debug)]
@@ -101,14 +90,14 @@ struct Trace {
 /// The unwinding-interpolation engine.
 pub struct UnwindInterp<'a> {
     sys: &'a ChcSystem,
-    config: InterpConfig,
+    mode: InterpMode,
     candidate: HashMap<PredId, Vec<Atom>>,
 }
 
 impl<'a> UnwindInterp<'a> {
-    /// Creates an engine for `sys`.
-    pub fn new(sys: &'a ChcSystem, config: InterpConfig) -> UnwindInterp<'a> {
-        UnwindInterp { sys, config, candidate: HashMap::new() }
+    /// Creates an engine for `sys` running the given strategy.
+    pub fn new(sys: &'a ChcSystem, mode: InterpMode) -> UnwindInterp<'a> {
+        UnwindInterp { sys, mode, candidate: HashMap::new() }
     }
 
     /// Expands a predicate application into all bounded derivations,
@@ -157,7 +146,7 @@ impl<'a> UnwindInterp<'a> {
                 }
                 let Some(cubes) = inst.constraint.to_dnf(32) else { continue };
                 for cube in cubes {
-                    if out.len() + 1 > self.config.max_traces {
+                    if out.len() + 1 > MAX_TRACES {
                         return out;
                     }
                     let mut b2 = build.clone();
@@ -205,8 +194,8 @@ impl<'a> UnwindInterp<'a> {
                     }
                 }
                 all.extend(builds);
-                if all.len() >= self.config.max_traces {
-                    all.truncate(self.config.max_traces);
+                if all.len() >= MAX_TRACES {
+                    all.truncate(MAX_TRACES);
                     return all;
                 }
             }
@@ -298,7 +287,7 @@ impl<'a> UnwindInterp<'a> {
         if self.candidate_inductive(budget) == Some(true) {
             return InterpResult::Sat(self.candidate_interp());
         }
-        for depth in 0..=self.config.max_depth {
+        for depth in 0..=MAX_DEPTH {
             if budget.exhausted() {
                 return InterpResult::Unknown;
             }
@@ -316,7 +305,7 @@ impl<'a> UnwindInterp<'a> {
                         }
                     }
                 }
-                if self.config.mode == InterpMode::TraceRefinement {
+                if self.mode == InterpMode::TraceRefinement {
                     match self.candidate_inductive(budget) {
                         Some(true) => return InterpResult::Sat(self.candidate_interp()),
                         Some(false) => {}
@@ -324,7 +313,7 @@ impl<'a> UnwindInterp<'a> {
                     }
                 }
             }
-            if self.config.mode == InterpMode::Duality {
+            if self.mode == InterpMode::Duality {
                 match self.candidate_inductive(budget) {
                     Some(true) => return InterpResult::Sat(self.candidate_interp()),
                     Some(false) => {}
@@ -345,8 +334,7 @@ mod tests {
 
     fn run(text: &str, mode: InterpMode) -> InterpResult {
         let sys = parse_chc(text).unwrap();
-        let config = InterpConfig { mode, ..InterpConfig::default() };
-        let mut engine = UnwindInterp::new(&sys, config);
+        let mut engine = UnwindInterp::new(&sys, mode);
         let r = engine.solve(&Budget::timeout(Duration::from_secs(30)));
         if let InterpResult::Sat(interp) = &r {
             assert_eq!(

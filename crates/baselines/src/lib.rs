@@ -6,8 +6,8 @@
 //!
 //! | Paper tool | Here | Mechanism |
 //! |------------|------|-----------|
-//! | Spacer \[19\] | [`PdrSolver`] (`spacer_mode: true`) | PDR + must summaries |
-//! | GPDR \[17\] | [`PdrSolver`] (`spacer_mode: false`) | PDR, re-derives |
+//! | Spacer \[19\] | [`PdrSolver`] ([`PdrMode::Spacer`]) | PDR + must summaries |
+//! | GPDR \[17\] | [`PdrSolver`] ([`PdrMode::Gpdr`]) | PDR, re-derives |
 //! | Duality \[24, 25\] | [`UnwindInterp`] ([`InterpMode::Duality`]) | unwinding + Farkas interpolation, batch |
 //! | UAutomizer \[16\] | [`UnwindInterp`] ([`InterpMode::TraceRefinement`]) | trace-by-trace interpolation |
 //! | PIE \[29\] | [`PieLearner`] | feature enumeration inside the CEGAR loop |
@@ -25,7 +25,7 @@ mod util;
 
 pub use bmc::{bmc, BmcResult};
 pub use dig::DigLearner;
-pub use interp::{InterpConfig, InterpMode, InterpResult, UnwindInterp};
-pub use pdr::{Cube, PdrConfig, PdrResult, PdrSolver};
-pub use pie::{PieConfig, PieLearner};
+pub use interp::{InterpMode, InterpResult, UnwindInterp};
+pub use pdr::{Cube, PdrMode, PdrResult, PdrSolver};
+pub use pie::PieLearner;
 pub use util::{instantiate_clause, ClauseInstance, FreshVars};

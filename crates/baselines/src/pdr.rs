@@ -9,7 +9,7 @@
 //! forward until two consecutive frames agree (an inductive
 //! interpretation) or a derivation confirms unsatisfiability.
 //!
-//! `spacer_mode` additionally caches *must summaries* — concrete
+//! [`PdrMode::Spacer`] additionally caches *must summaries* — concrete
 //! reachable points — short-circuiting repeated sub-derivations, which
 //! is the essential Spacer-over-GPDR optimization the paper's Fig.
 //! 8(c) measures.
@@ -27,22 +27,20 @@ use std::collections::{BTreeMap, HashMap};
 /// A conjunction of atoms over a predicate's parameters.
 pub type Cube = Vec<Atom>;
 
-/// PDR configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct PdrConfig {
-    /// Cache must-summaries (Spacer) instead of re-deriving (GPDR).
-    pub spacer_mode: bool,
-    /// Maximum frame level before giving up.
-    pub max_level: usize,
-    /// Maximum proof obligations before giving up.
-    pub max_obligations: usize,
+/// PDR strategy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PdrMode {
+    /// Cache must summaries (Spacer).
+    Spacer,
+    /// Re-derive reachable points every time (GPDR).
+    Gpdr,
 }
 
-impl Default for PdrConfig {
-    fn default() -> Self {
-        PdrConfig { spacer_mode: true, max_level: 32, max_obligations: 6_000 }
-    }
-}
+/// Maximum frame level before giving up.
+const MAX_LEVEL: usize = 32;
+
+/// Maximum proof obligations before giving up.
+const MAX_OBLIGATIONS: usize = 6_000;
 
 /// Result of a PDR run.
 #[derive(Debug)]
@@ -77,7 +75,7 @@ enum Verdict {
 /// The PDR engine.
 pub struct PdrSolver<'a> {
     sys: &'a ChcSystem,
-    config: PdrConfig,
+    mode: PdrMode,
     /// `frames[i][p]`: lemma cubes of `F_i(p)` (stored cumulatively:
     /// a lemma at level `i` is present in frames `1..=i`). Ordered
     /// maps keep runs deterministic.
@@ -94,11 +92,11 @@ pub struct PdrSolver<'a> {
 }
 
 impl<'a> PdrSolver<'a> {
-    /// Creates a solver for `sys`.
-    pub fn new(sys: &'a ChcSystem, config: PdrConfig) -> PdrSolver<'a> {
+    /// Creates a solver for `sys` running the given strategy.
+    pub fn new(sys: &'a ChcSystem, mode: PdrMode) -> PdrSolver<'a> {
         PdrSolver {
             sys,
-            config,
+            mode,
             frames: vec![BTreeMap::new(), BTreeMap::new()],
             reach: BTreeMap::new(),
             justif: HashMap::new(),
@@ -206,13 +204,13 @@ impl<'a> PdrSolver<'a> {
     ) -> Verdict {
         self.obligations += 1;
         if depth == 0
-            || self.obligations > self.config.max_obligations
+            || self.obligations > MAX_OBLIGATIONS
             || budget.exhausted()
         {
             return Verdict::Unknown;
         }
         debug_assert!(level >= 1);
-        if self.config.spacer_mode {
+        if self.mode == PdrMode::Spacer {
             if let Some(points) = self.reach.get(&pred) {
                 if points.iter().any(|pt| self.cube_holds_at(pred, &cube, pt)) {
                     return Verdict::Reach;
@@ -330,14 +328,14 @@ impl<'a> PdrSolver<'a> {
             .filter(|c| c.is_query())
             .cloned()
             .collect();
-        for level in 1..=self.config.max_level {
+        for level in 1..=MAX_LEVEL {
             while self.frames.len() <= level {
                 self.frames.push(BTreeMap::new());
             }
             // Block all query violations at this level.
             for query in &queries {
                 loop {
-                    if budget.exhausted() || self.obligations > self.config.max_obligations {
+                    if budget.exhausted() || self.obligations > MAX_OBLIGATIONS {
                         return PdrResult::Unknown;
                     }
                     let mut fresh = FreshVars::for_system(self.sys);
@@ -475,10 +473,9 @@ mod tests {
     use linarb_solver::verify_interpretation;
     use std::time::Duration;
 
-    fn run(text: &str, spacer: bool) -> PdrResult {
+    fn run(text: &str, mode: PdrMode) -> PdrResult {
         let sys = parse_chc(text).unwrap();
-        let config = PdrConfig { spacer_mode: spacer, ..PdrConfig::default() };
-        let mut pdr = PdrSolver::new(&sys, config);
+        let mut pdr = PdrSolver::new(&sys, mode);
         let r = pdr.solve(&Budget::timeout(Duration::from_secs(30)));
         match &r {
             PdrResult::Sat(interp) => {
@@ -509,18 +506,18 @@ mod tests {
 
     #[test]
     fn safe_counter_both_modes() {
-        for spacer in [false, true] {
-            let r = run(COUNTER_SAFE, spacer);
-            assert!(r.is_sat(), "spacer={spacer}: {r:?}");
+        for mode in [PdrMode::Gpdr, PdrMode::Spacer] {
+            let r = run(COUNTER_SAFE, mode);
+            assert!(r.is_sat(), "{mode:?}: {r:?}");
         }
     }
 
     #[test]
     fn unsafe_counter_both_modes() {
         let text = COUNTER_SAFE.replace("(<= x 5)", "(<= x 3)");
-        for spacer in [false, true] {
-            let r = run(&text, spacer);
-            assert!(r.is_unsat(), "spacer={spacer}: {r:?}");
+        for mode in [PdrMode::Gpdr, PdrMode::Spacer] {
+            let r = run(&text, mode);
+            assert!(r.is_unsat(), "{mode:?}: {r:?}");
         }
     }
 
@@ -531,7 +528,7 @@ mod tests {
             (assert (forall ((x Int)) (=> (= x 7) (p x))))
             (assert (forall ((x Int)) (=> (p x) (<= x 3))))
         "#;
-        let r = run(text, true);
+        let r = run(text, PdrMode::Spacer);
         assert!(r.is_unsat(), "{r:?}");
     }
 
@@ -541,7 +538,7 @@ mod tests {
             (declare-fun p (Int) Bool)
             (assert (forall ((x Int)) (=> (= x 0) (p x))))
         "#;
-        let r = run(text, true);
+        let r = run(text, PdrMode::Spacer);
         assert!(r.is_sat(), "{r:?}");
     }
 
@@ -557,7 +554,7 @@ mod tests {
             (assert (forall ((x Int) (y Int))
                 (=> (p x y) (>= x 1))))
         "#;
-        let r = run(text, true);
+        let r = run(text, PdrMode::Spacer);
         // PDR may or may not converge here (the diverging example of
         // the paper!) — but it must never report Unsat.
         assert!(!r.is_unsat(), "{r:?}");
@@ -577,7 +574,7 @@ mod tests {
             (assert (forall ((x Int) (y Int))
                 (=> (and (p x y) (> x 1)) (>= y x))))
         "#;
-        let r = run(text, true);
+        let r = run(text, PdrMode::Spacer);
         assert!(r.is_unsat(), "{r:?}");
     }
 
@@ -598,9 +595,9 @@ mod tests {
                 (=> (and (p x y) (> x 3)) (>= y x))))
         "#;
         let sys = parse_chc(text).unwrap();
-        let mut gpdr = PdrSolver::new(&sys, PdrConfig { spacer_mode: false, ..Default::default() });
+        let mut gpdr = PdrSolver::new(&sys, PdrMode::Gpdr);
         let rg = gpdr.solve(&Budget::timeout(Duration::from_secs(60)));
-        let mut spacer = PdrSolver::new(&sys, PdrConfig { spacer_mode: true, ..Default::default() });
+        let mut spacer = PdrSolver::new(&sys, PdrMode::Spacer);
         let rs = spacer.solve(&Budget::timeout(Duration::from_secs(60)));
         // Both should refute; spacer with fewer or equal obligations.
         if rg.is_unsat() && rs.is_unsat() {

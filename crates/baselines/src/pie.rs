@@ -16,29 +16,15 @@ use linarb_ml::{Dataset, LearnError, Sample};
 use linarb_smt::Budget;
 use linarb_solver::Learner;
 
-/// Configuration of the enumeration space.
-#[derive(Clone, Debug)]
-pub struct PieConfig {
-    /// Enumerate constants in `[-range, range]` around observed
-    /// values.
-    pub constant_slack: i64,
-    /// Include two-variable (octagonal) features.
-    pub octagonal: bool,
-}
-
-impl Default for PieConfig {
-    fn default() -> Self {
-        PieConfig { constant_slack: 2, octagonal: true }
-    }
-}
+/// Feature constants are enumerated in `[v - slack, v + slack]`
+/// around each observed value `v`.
+const CONSTANT_SLACK: i64 = 2;
 
 /// The PIE-style enumerating learner. Implements
 /// [`Learner`](linarb_solver::Learner) so it runs inside the same
 /// CEGAR sampling loop as the paper's toolchain.
 #[derive(Clone, Debug, Default)]
 pub struct PieLearner {
-    /// Enumeration space configuration.
-    pub config: PieConfig,
     /// Optional shared budget polled inside the enumeration loops so
     /// portfolio cancellation is prompt even mid-learn.
     pub budget: Option<Budget>,
@@ -56,7 +42,7 @@ impl PieLearner {
         self.budget.as_ref().is_some_and(Budget::exhausted)
     }
     /// Enumerates the feature atoms for a dataset: `±xᵢ ≤ c` and
-    /// (optionally) `±xᵢ ± xⱼ ≤ c`, with `c` drawn from the projected
+    /// `±xᵢ ± xⱼ ≤ c`, with `c` drawn from the projected
     /// sample values plus slack.
     fn features(&self, data: &Dataset, params: &[Var]) -> Vec<Atom> {
         let dim = params.len();
@@ -68,15 +54,13 @@ impl PieLearner {
             w[i] = BigInt::minus_one();
             dirs.push(w);
         }
-        if self.config.octagonal {
-            for i in 0..dim {
-                for j in (i + 1)..dim {
-                    for (si, sj) in [(1, 1), (1, -1), (-1, 1), (-1, -1)] {
-                        let mut w = vec![BigInt::zero(); dim];
-                        w[i] = BigInt::from(si);
-                        w[j] = BigInt::from(sj);
-                        dirs.push(w);
-                    }
+        for i in 0..dim {
+            for j in (i + 1)..dim {
+                for (si, sj) in [(1, 1), (1, -1), (-1, 1), (-1, -1)] {
+                    let mut w = vec![BigInt::zero(); dim];
+                    w[i] = BigInt::from(si);
+                    w[j] = BigInt::from(sj);
+                    dirs.push(w);
                 }
             }
         }
@@ -106,7 +90,7 @@ impl PieLearner {
                 BigInt::zero(),
             );
             for v in &values {
-                for slack in -self.config.constant_slack..=self.config.constant_slack {
+                for slack in -CONSTANT_SLACK..=CONSTANT_SLACK {
                     let c = v + &BigInt::from(slack);
                     atoms.push(Atom::le(lhs.clone(), LinExpr::constant(c)));
                 }

@@ -9,7 +9,7 @@
 
 use linarb_arith::{int, rat, BigRational};
 use linarb_logic::{Atom, Formula, LinExpr, Var};
-use linarb_ml::{learn, linear_classify, ClassifierKind, Dataset, LearnConfig, SvmParams};
+use linarb_ml::{learn, linear_classify, ClassifierKind, Dataset, LearnConfig};
 use linarb_sat::{Lit, SatResult, SatSolver};
 use linarb_smt::{check_sat, simplex::Simplex, Budget};
 use linarb_solver::{CegarSolver, SolverConfig};
@@ -160,16 +160,10 @@ fn bench_classification() {
         neg.push(vec![int(-(i % 10) - 1), int(-(i / 10) - 1)]);
     }
     bench_function("svm_80_samples", || {
-        linear_classify(ClassifierKind::Svm, &SvmParams::default(), &pos, &neg, 7)
+        linear_classify(ClassifierKind::Svm, &pos, &neg, 7)
     });
     bench_function("perceptron_80_samples", || {
-        linear_classify(
-            ClassifierKind::Perceptron,
-            &SvmParams::default(),
-            &pos,
-            &neg,
-            7,
-        )
+        linear_classify(ClassifierKind::Perceptron, &pos, &neg, 7)
     });
 }
 

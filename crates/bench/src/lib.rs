@@ -62,10 +62,9 @@ pub fn run_engine(kind: EngineKind, bench: &Benchmark, timeout: Duration) -> Run
 
 /// Races the portfolio on `bench` under `timeout`: the
 /// [`EngineKind::race`] engines at `LINARB_THREADS` width (default 2;
-/// at least 2 engines race), or the `LINARB_PORTFOLIO_FORCE` engine
-/// alone.
+/// at least 2 engines race).
 pub fn run_portfolio(bench: &Benchmark, timeout: Duration) -> RunOutcome {
-    let pconfig = PortfolioConfig::from_env().expect("LINARB_PORTFOLIO_FORCE");
+    let pconfig = PortfolioConfig::default();
     let threads = env_or("LINARB_THREADS", pconfig.threads);
     let budget = Budget::timeout(timeout);
     score(bench, || solve_portfolio(&bench.system, &pconfig.with_threads(threads), &budget).verdict)

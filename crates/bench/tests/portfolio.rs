@@ -1,12 +1,13 @@
 //! Portfolio driver integration tests: differential agreement with the
 //! single engines, winner-certificate checking on both polarities,
-//! deterministic forced-winner mode, and the harder-tier claim (the
+//! the deterministic single-engine run, and the harder-tier claim (the
 //! portfolio solves instances the CEGAR engine alone cannot at the
 //! same budget).
 
 use linarb_bench::{paper_name, run_engine, run_portfolio, Verdict};
 use linarb_portfolio::{
-    check_certificate, solve_portfolio, Certificate, EngineKind, EngineVerdict, PortfolioConfig,
+    check_certificate, solve_portfolio, solve_single, Certificate, EngineKind, EngineVerdict,
+    PortfolioConfig,
 };
 use linarb_smt::Budget;
 use linarb_suite::{harder_tier, Benchmark};
@@ -110,47 +111,18 @@ fn winner_certificates_check_on_both_polarities() {
     assert!(unsat_seen, "no UNSAT instance was won — suite/budget mis-set");
 }
 
-/// `force: Some(engine)` (the `LINARB_PORTFOLIO_FORCE` mechanism) runs
-/// exactly that engine and is reproducible run to run.
+/// `solve_single` runs exactly the named engine and is reproducible
+/// run to run.
 #[test]
 fn forced_winner_is_deterministic() {
     let bench = linarb_suite::fig1();
-    let config = PortfolioConfig {
-        force: Some(EngineKind::Cegar),
-        ..PortfolioConfig::default()
-    };
-    let a = solve_portfolio(&bench.system, &config, &Budget::timeout(timeout()));
-    let b = solve_portfolio(&bench.system, &config, &Budget::timeout(timeout()));
+    let a = solve_single(EngineKind::Cegar, &bench.system, &Budget::timeout(timeout()));
+    let b = solve_single(EngineKind::Cegar, &bench.system, &Budget::timeout(timeout()));
     assert_eq!(a.winner, Some(EngineKind::Cegar));
     assert_eq!(a.winner, b.winner);
     assert_eq!(a.verdict.label(), b.verdict.label());
     assert_eq!(a.reports.len(), 1);
     assert_eq!(b.reports.len(), 1);
-}
-
-/// `LINARB_PORTFOLIO_FORCE` reaches the config through `from_env`,
-/// and a name that does not parse is an error, not the full race.
-/// (Set/unset inside one test to keep the process env race-free.)
-#[test]
-fn force_env_parses() {
-    std::env::set_var("LINARB_PORTFOLIO_FORCE", "spacer");
-    let config = PortfolioConfig::from_env();
-    std::env::set_var("LINARB_PORTFOLIO_FORCE", "spacr");
-    let typo = PortfolioConfig::from_env();
-    std::env::remove_var("LINARB_PORTFOLIO_FORCE");
-    assert_eq!(
-        config.expect("spacer parses").force,
-        Some(EngineKind::Spacer)
-    );
-    let err = typo.expect_err("a misspelt engine must not run the race");
-    assert!(
-        err.contains("LINARB_PORTFOLIO_FORCE") && err.contains("spacr"),
-        "{err}"
-    );
-    assert_eq!(
-        PortfolioConfig::from_env().expect("unset parses").force,
-        None
-    );
 }
 
 /// The tentpole claim: at the same budget, the racing portfolio solves

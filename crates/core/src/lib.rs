@@ -108,7 +108,7 @@ pub trait Learner: Send + Sync {
 #[derive(Clone, Debug, Default)]
 pub struct MlLearner {
     /// Pipeline configuration (classifier choice, decision tree
-    /// on/off, mod features, SVM `C`…).
+    /// on/off).
     pub config: LearnConfig,
 }
 
@@ -160,17 +160,11 @@ pub struct SolverConfig {
     pub max_iterations: usize,
     /// SMT oracle strategy.
     pub oracle: OracleMode,
-    /// Symbolic seeding (DESIGN.md §12): harvest candidate separating
-    /// directions from clause syntax (and any attached hints/atoms),
-    /// offer them to the learner as first-try separators and extra
-    /// decision-tree features. Defaults to on; only
-    /// [`with_seeding(false)`](SolverConfig::with_seeding) turns it off.
-    /// Purely a heuristic accelerator: verdicts are unaffected.
-    pub seeding: bool,
     /// Extra seed atoms in predicate parameter space, injected by the
     /// caller: the serve daemon's near tier passes the atoms of a
-    /// cached invariant for a structurally similar system.
-    /// Ignored when `seeding` is off.
+    /// cached invariant for a structurally similar system. They join
+    /// the planes the solver always harvests from clause syntax
+    /// (symbolic seeding, DESIGN.md §12).
     pub seed_atoms: Vec<(PredId, Atom)>,
     /// Live progress telemetry: when set, the solver pushes one
     /// [`ProgressSnapshot`] per CEGAR round into the reporter (see
@@ -190,7 +184,6 @@ impl SolverConfig {
             learner,
             max_iterations: 20_000,
             oracle: OracleMode::default(),
-            seeding: true,
             seed_atoms: Vec::new(),
             progress: None,
         }
@@ -199,13 +192,6 @@ impl SolverConfig {
     /// Selects the SMT oracle strategy.
     pub fn with_oracle(mut self, oracle: OracleMode) -> SolverConfig {
         self.oracle = oracle;
-        self
-    }
-
-    /// Enables or disables symbolic seeding (see
-    /// [`SolverConfig::seeding`]).
-    pub fn with_seeding(mut self, seeding: bool) -> SolverConfig {
-        self.seeding = seeding;
         self
     }
 
@@ -234,11 +220,10 @@ impl fmt::Debug for SolverConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "SolverConfig {{ learner: {}, max_iterations: {}, oracle: {:?}, seeding: {}, seed_atoms: {}, progress: {} }}",
+            "SolverConfig {{ learner: {}, max_iterations: {}, oracle: {:?}, seed_atoms: {}, progress: {} }}",
             self.learner.name(),
             self.max_iterations,
             self.oracle,
-            self.seeding,
             self.seed_atoms.len(),
             self.progress.is_some()
         )
@@ -392,8 +377,7 @@ pub struct SolveStats {
     /// Learned clauses still alive in the live contexts' CDCL databases
     /// after reduction (`learned_clauses` is the lifetime total).
     pub learned_db_size: usize,
-    /// Symbolic seed planes harvested into the seed store (0 with
-    /// seeding off).
+    /// Symbolic seed planes harvested into the seed store.
     pub seeded_atoms: usize,
     /// Times the learner used a seed plane directly in place of a
     /// classifier run.
@@ -712,7 +696,7 @@ pub struct CegarSolver<'a> {
     /// Persistent per-clause oracle contexts ([`OracleMode::Incremental`]).
     contexts: HashMap<ClauseId, ClauseContext>,
     stats: SolveStats,
-    /// Symbolic seed planes per predicate (empty when seeding is off).
+    /// Symbolic seed planes per predicate.
     seeds: SeedStore,
     /// Cumulative oracle-phase micros this solve, reported through
     /// [`ProgressReporter`]. Wall-clock — never feeds back into the
@@ -734,18 +718,16 @@ impl<'a> CegarSolver<'a> {
             .map(|p| (p.id, Dataset::new(p.arity())))
             .collect();
         let mut seeds = SeedStore::new();
-        if config.seeding {
-            harvest_clause_seeds(sys, &mut seeds);
-            for (p, dir) in sys.seed_hints() {
-                if dir.len() == sys.pred(*p).params.len() {
-                    seeds.add_dir(*p, dir.clone());
-                }
+        harvest_clause_seeds(sys, &mut seeds);
+        for (p, dir) in sys.seed_hints() {
+            if dir.len() == sys.pred(*p).params.len() {
+                seeds.add_dir(*p, dir.clone());
             }
-            for (p, atom) in &config.seed_atoms {
-                seeds.add_atom(*p, atom, &sys.pred(*p).params);
-            }
-            seeds.combine_pairs();
         }
+        for (p, atom) in &config.seed_atoms {
+            seeds.add_atom(*p, atom, &sys.pred(*p).params);
+        }
+        seeds.combine_pairs();
         CegarSolver {
             sys,
             config,
@@ -779,6 +761,7 @@ impl<'a> CegarSolver<'a> {
             span.record("preds", self.sys.preds().len());
         }
         let result = self.solve_inner(budget);
+        self.finalize_stats();
         if span.active() {
             span.record("result", match &result {
                 SolveResult::Sat(_) => "sat",
@@ -810,11 +793,11 @@ impl<'a> CegarSolver<'a> {
 
         while !dirty.is_empty() {
             if budget.exhausted() {
-                self.finalize_stats();
                 return SolveResult::Unknown(UnknownReason::Timeout);
             }
             self.round += 1;
             if self.config.progress.is_some() {
+                self.finalize_stats();
                 let snap = self.progress_snapshot(dirty.len(), budget);
                 // Re-borrow: snapshot assembly needs `&self`.
                 if let Some(p) = &self.config.progress {
@@ -834,11 +817,9 @@ impl<'a> CegarSolver<'a> {
                     event!(Level::Debug, "core", "cegar.iteration",
                         "n" => self.stats.iterations, "clause" => clause.id.0);
                     if self.stats.iterations > self.config.max_iterations {
-                        self.finalize_stats();
                         return SolveResult::Unknown(UnknownReason::IterationLimit);
                     }
                     if budget.exhausted() {
-                        self.finalize_stats();
                         return SolveResult::Unknown(UnknownReason::Timeout);
                     }
                     let oracle_start = Instant::now();
@@ -847,7 +828,6 @@ impl<'a> CegarSolver<'a> {
                     let model = match result {
                         SmtResult::Unsat => break, // clause valid
                         SmtResult::Unknown => {
-                            self.finalize_stats();
                             // A check cut short by the deadline or a
                             // cancel is a timeout, not an oracle give-up.
                             let reason = if budget.exhausted() {
@@ -881,36 +861,30 @@ impl<'a> CegarSolver<'a> {
                             // keep refining this same clause (inner loop)
                         }
                         Resolution::Refuted(tree) => return SolveResult::Unsat(tree),
-                        Resolution::Failed(reason) => {
-                            self.finalize_stats();
-                            return SolveResult::Unknown(reason);
-                        }
+                        Resolution::Failed(reason) => return SolveResult::Unknown(reason),
                     }
                 }
             }
         }
         // Every clause validated.
-        self.finalize_stats();
         SolveResult::Sat(self.interp.clone())
     }
 
     /// Assembles the per-round [`ProgressSnapshot`] (round barrier
-    /// state + cumulative phase timers). Only called when a reporter
-    /// is attached, so the store walks cost nothing by default.
+    /// state + cumulative phase timers) from stats that
+    /// [`finalize_stats`](Self::finalize_stats) has just refreshed.
+    /// Only called when a reporter is attached, so the store walks
+    /// cost nothing by default.
     fn progress_snapshot(&self, frontier: usize, budget: &Budget) -> ProgressSnapshot {
         ProgressSnapshot {
             round: self.round,
             iterations: self.stats.iterations,
             frontier,
-            samples: self.data.values().map(Dataset::len).sum(),
-            positive_samples: self.data.values().map(Dataset::num_positive).sum(),
+            samples: self.stats.samples,
+            positive_samples: self.stats.positive_samples,
             interp_preds: self.interp.len(),
-            learned_db_size: self
-                .contexts
-                .values()
-                .map(|c| c.solver.learned_db_size() as u64)
-                .sum(),
-            seeds_added: self.seeds.total_added(),
+            learned_db_size: self.stats.learned_db_size as u64,
+            seeds_added: self.stats.seeded_atoms,
             seed_version_sum: self
                 .sys
                 .preds()
@@ -923,6 +897,9 @@ impl<'a> CegarSolver<'a> {
         }
     }
 
+    /// Copies the store-derived counters (samples, oracle totals,
+    /// seeds) into `stats`: once when a solve ends, and before each
+    /// progress snapshot.
     fn finalize_stats(&mut self) {
         self.stats.samples = self.data.values().map(Dataset::len).sum();
         self.stats.positive_samples =
@@ -1017,7 +994,6 @@ impl<'a> CegarSolver<'a> {
                         .iter()
                         .map(|(p, s)| self.build_derivation(*p, s))
                         .collect();
-                    self.finalize_stats();
                     event!(Level::Info, "core", "cegar.refuted", "clause" => clause.id.0);
                     Resolution::Refuted(DerivationNode {
                         pred: None,
@@ -1055,14 +1031,8 @@ impl<'a> CegarSolver<'a> {
                 let pred = self.sys.pred(*p);
                 let ds = &self.data[p];
                 self.stats.learn_calls += 1;
-                let learned = {
-                    let planes: &[SeedPlane] = if self.config.seeding {
-                        self.seeds.planes(*p)
-                    } else {
-                        &[]
-                    };
-                    self.config.learner.learn_seeded(ds, &pred.params, planes)
-                };
+                let learned =
+                    self.config.learner.learn_seeded(ds, &pred.params, self.seeds.planes(*p));
                 match learned {
                     Ok((f, hits)) => {
                         for i in hits {
@@ -1292,13 +1262,16 @@ mod tests {
             (assert (forall ((x Int) (y Int))
                 (=> (and (p x y) (> x 1)) (>= y x))))
         "#;
-        let (r, _) = solve_text(text);
+        let (r, stats) = solve_text(text);
         match r {
             SolveResult::Unsat(tree) => {
                 assert!(tree.size() >= 2, "needs at least one real derivation step");
             }
             other => panic!("expected unsat, got {other:?}"),
         }
+        // The unsat return path reports the sample stores too.
+        assert!(stats.samples > 0, "{stats:?}");
+        assert!(stats.positive_samples > 0, "{stats:?}");
     }
 
     const TWO_PREDS: &str = r#"

@@ -35,7 +35,7 @@ pub use ast::{CmpOp, Cond, Expr, Function, Program, Stmt};
 pub use canon::{canonicalize, Canon};
 pub use interp::{execute, ExecOutcome, NondetScript};
 pub use parser::{parse_program, ParseError, MAX_NESTING};
-pub use vcgen::{generate_chc, generate_chc_with, VcConfig, VcError};
+pub use vcgen::{generate_chc, VcError};
 
 /// Parses and compiles a mini-C source to CHCs in one step.
 ///

@@ -43,21 +43,11 @@ impl fmt::Display for VcError {
 
 impl std::error::Error for VcError {}
 
-/// Options for VC generation.
-#[derive(Clone, Copy, Debug)]
-pub struct VcConfig {
-    /// Maximum simultaneous symbolic paths before a join predicate is
-    /// introduced.
-    pub max_paths: usize,
-}
+/// Maximum simultaneous symbolic paths before a join predicate is
+/// introduced.
+const MAX_PATHS: usize = 8;
 
-impl Default for VcConfig {
-    fn default() -> Self {
-        VcConfig { max_paths: 8 }
-    }
-}
-
-/// Generates the CHC system of a program with default options.
+/// Generates the CHC system of a program.
 ///
 /// # Errors
 ///
@@ -66,20 +56,10 @@ impl Default for VcConfig {
 /// variables, and `int` functions that can fall off the end without
 /// returning.
 pub fn generate_chc(prog: &Program) -> Result<ChcSystem, VcError> {
-    generate_chc_with(prog, VcConfig::default())
-}
-
-/// Generates the CHC system of a program.
-///
-/// # Errors
-///
-/// See [`generate_chc`].
-pub fn generate_chc_with(prog: &Program, config: VcConfig) -> Result<ChcSystem, VcError> {
     let mut g = VcGen {
         prog,
         sys: ChcSystem::new(),
         summaries: HashMap::new(),
-        config,
         counter: 0,
     };
     // Declare summaries first so mutual recursion works.
@@ -120,7 +100,6 @@ struct VcGen<'a> {
     prog: &'a Program,
     sys: ChcSystem,
     summaries: HashMap<String, PredId>,
-    config: VcConfig,
     counter: usize,
 }
 
@@ -181,7 +160,7 @@ impl VcGen<'_> {
                 returns.append(&mut rs);
             }
             flows = next;
-            if flows.len() > self.config.max_paths {
+            if flows.len() > MAX_PATHS {
                 flows = vec![self.join(f, flows)?];
             }
             if flows.is_empty() {

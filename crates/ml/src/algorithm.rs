@@ -16,7 +16,7 @@
 
 use crate::dataset::{Dataset, Sample};
 use crate::linear::{
-    linear_classify, refit_intercept, refit_intercept_scored, ClassifierKind, Hyperplane, SvmParams,
+    linear_classify, refit_intercept, refit_intercept_scored, ClassifierKind, Hyperplane,
 };
 use crate::seed::SeedPlane;
 use linarb_arith::BigInt;
@@ -58,29 +58,20 @@ impl std::error::Error for LearnError {}
 pub struct LearnConfig {
     /// Which linear classifier backs `LinearClassify`.
     pub classifier: ClassifierKind,
-    /// SVM hyperparameters (ignored by the perceptron).
-    pub svm: SvmParams,
     /// Run decision-tree generalization on top of `LinearArbitrary`
     /// (Algorithm 2). Disabling this reproduces the paper's ablation.
     pub use_decision_tree: bool,
-    /// Moduli for predefined `mod` features handed to the decision
-    /// tree (§3.3 *Beyond Polyhedra*); empty disables them.
-    pub mod_features: Vec<u64>,
-    /// RNG seed, for reproducible runs.
-    pub seed: u64,
 }
 
 impl Default for LearnConfig {
     fn default() -> Self {
-        LearnConfig {
-            classifier: ClassifierKind::Svm,
-            svm: SvmParams::default(),
-            use_decision_tree: true,
-            mod_features: vec![2],
-            seed: 0x11AB,
-        }
+        LearnConfig { classifier: ClassifierKind::Svm, use_decision_tree: true }
     }
 }
+
+/// Base seed of the classifier's RNG, mixed with the recursion depth
+/// so runs are reproducible.
+const SEED: u64 = 0x11AB;
 
 /// Converts a hyperplane `w·x ≥ c` into an atom over `params`.
 pub fn hyperplane_to_atom(h: &Hyperplane, params: &[Var]) -> Atom {
@@ -212,7 +203,7 @@ fn la_rec(
         }
     }
     if hp.is_none() {
-        hp = linear_classify(config.classifier, &config.svm, pos, neg, config.seed ^ fuel as u64);
+        hp = linear_classify(config.classifier, pos, neg, SEED ^ fuel as u64);
     }
     let mut split = hp.as_ref().map(|h| partition(h, pos, neg));
     // Progress guard: the hyperplane must capture at least one

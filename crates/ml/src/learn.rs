@@ -15,6 +15,10 @@ use crate::seed::SeedPlane;
 use linarb_arith::BigInt;
 use linarb_logic::{Formula, Var};
 
+/// Modulus of the predefined `mod` features handed to the decision
+/// tree (§3.3 *Beyond Polyhedra*).
+const MOD_MODULUS: i128 = 2;
+
 /// Statistics of one `Learn` invocation, used by the evaluation
 /// harness to report the paper's `#A` (conjuncts per disjunct) and by
 /// the ablation bench.
@@ -159,12 +163,8 @@ fn learn_inner(
             features.push(f);
         }
     }
-    for &m in &config.mod_features {
-        if m >= 2 {
-            for d in 0..params.len() {
-                features.push(Feature::Mod { dim: d, modulus: BigInt::from(m as i128) });
-            }
-        }
+    for d in 0..params.len() {
+        features.push(Feature::Mod { dim: d, modulus: BigInt::from(MOD_MODULUS) });
     }
 
     event!(Level::Trace, "ml", "ml.features", "candidates" => features.len());

@@ -55,5 +55,5 @@ pub use dtree::{dt_learn, entropy, information_gain, DecisionTree, Feature};
 pub use learn::{learn, learn_seeded, LearnStats};
 pub use seed::{SeedPlane, SeedStore};
 pub use linear::{
-    linear_classify, rationalize, refit_intercept, ClassifierKind, Hyperplane, SvmParams,
+    linear_classify, rationalize, refit_intercept, ClassifierKind, Hyperplane,
 };

@@ -19,29 +19,20 @@ use linarb_testutil::XorShiftRng;
 /// Which linear classification algorithm drives `LinearClassify`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ClassifierKind {
-    /// Soft-margin linear SVM (Pegasos subgradient) with the given
-    /// regularization strength encoded in [`SvmParams`].
+    /// Soft-margin linear SVM (Pegasos subgradient) with
+    /// regularization strength `C = 1`.
     Svm,
     /// Exact integer (pocket) perceptron.
     Perceptron,
 }
 
-/// SVM hyperparameters.
-#[derive(Clone, Copy, Debug)]
-pub struct SvmParams {
-    /// The paper's `C` parameter: larger values penalize
-    /// misclassification harder (less margin, more over-fitting).
-    pub c: f64,
-    /// Subgradient iterations.
-    pub iters: usize,
-}
+/// The paper's SVM `C` parameter: larger values penalize
+/// misclassification harder (less margin, more over-fitting). The
+/// paper prefers a reasonably small `C` for larger margins.
+const SVM_C: f64 = 1.0;
 
-impl Default for SvmParams {
-    fn default() -> Self {
-        // The paper prefers a reasonably small C for larger margins.
-        SvmParams { c: 1.0, iters: 2_000 }
-    }
-}
+/// SVM subgradient iterations.
+const SVM_ITERS: usize = 2_000;
 
 /// An integer separating hyperplane: the predicate
 /// `w·x ≥ threshold`.
@@ -80,7 +71,6 @@ impl Hyperplane {
 /// is re-run against single samples of the opposite class.
 pub fn linear_classify(
     kind: ClassifierKind,
-    params: &SvmParams,
     pos: &[Sample],
     neg: &[Sample],
     seed: u64,
@@ -88,7 +78,7 @@ pub fn linear_classify(
     if pos.is_empty() || neg.is_empty() {
         return None;
     }
-    let primary = raw_direction(kind, params, pos, neg, seed)
+    let primary = raw_direction(kind, pos, neg, seed)
         .and_then(|dir| refit_intercept(&dir, pos, neg));
     if primary.is_some() {
         return primary;
@@ -97,13 +87,13 @@ pub fn linear_classify(
     // positive against S⁻.
     let mut rng = XorShiftRng::seed_from_u64(seed ^ 0x5eed);
     let n = &neg[rng.gen_range(0..neg.len())];
-    if let Some(h) = raw_direction(kind, params, pos, std::slice::from_ref(n), seed ^ 1)
+    if let Some(h) = raw_direction(kind, pos, std::slice::from_ref(n), seed ^ 1)
         .and_then(|dir| refit_intercept(&dir, pos, neg))
     {
         return Some(h);
     }
     let p = &pos[rng.gen_range(0..pos.len())];
-    if let Some(h) = raw_direction(kind, params, std::slice::from_ref(p), neg, seed ^ 2)
+    if let Some(h) = raw_direction(kind, std::slice::from_ref(p), neg, seed ^ 2)
         .and_then(|dir| refit_intercept(&dir, pos, neg))
     {
         return Some(h);
@@ -119,14 +109,13 @@ pub fn linear_classify(
 /// Learns a raw integer *direction* (no meaningful intercept yet).
 fn raw_direction(
     kind: ClassifierKind,
-    params: &SvmParams,
     pos: &[Sample],
     neg: &[Sample],
     seed: u64,
 ) -> Option<Vec<BigInt>> {
     let dir = match kind {
         ClassifierKind::Perceptron => perceptron_direction(pos, neg),
-        ClassifierKind::Svm => svm_direction(params, pos, neg, seed),
+        ClassifierKind::Svm => svm_direction(pos, neg, seed),
     };
     let dir = normalize_gcd(dir);
     if dir.iter().all(BigInt::is_zero) {
@@ -189,12 +178,12 @@ fn perceptron_direction(pos: &[Sample], neg: &[Sample]) -> Vec<BigInt> {
 /// integer direction. The walk always runs the full iteration budget:
 /// early averaged iterates hug the samples, and their rationalizations
 /// send CEGAR down trajectories that stop converging (`jm2006`).
-fn svm_direction(params: &SvmParams, pos: &[Sample], neg: &[Sample], seed: u64) -> Vec<BigInt> {
+fn svm_direction(pos: &[Sample], neg: &[Sample], seed: u64) -> Vec<BigInt> {
     use linarb_trace::Level;
     let mut span = linarb_trace::span(Level::Trace, "ml", "ml.svm");
     let dim = pos.first().or_else(|| neg.first()).map_or(0, Vec::len);
     let n = pos.len() + neg.len();
-    let lambda = 1.0 / (params.c * n as f64).max(1e-9);
+    let lambda = 1.0 / (SVM_C * n as f64).max(1e-9);
     let mut w = vec![0.0f64; dim];
     let mut b = 0.0f64;
     let mut avg_w = vec![0.0f64; dim];
@@ -204,7 +193,7 @@ fn svm_direction(params: &SvmParams, pos: &[Sample], neg: &[Sample], seed: u64) 
         .map(|s| (1.0, s.iter().map(BigInt::to_f64).collect()))
         .chain(neg.iter().map(|s| (-1.0, s.iter().map(BigInt::to_f64).collect())))
         .collect();
-    for t in 1..=params.iters {
+    for t in 1..=SVM_ITERS {
         let (y, x) = &data[rng.gen_range(0..n)];
         let eta = 1.0 / (lambda * t as f64);
         let margin = y * (dot(&w, x) + b);
@@ -221,12 +210,12 @@ fn svm_direction(params: &SvmParams, pos: &[Sample], neg: &[Sample], seed: u64) 
             *a += wi;
         }
     }
-    let scale = 1.0 / params.iters.max(1) as f64;
+    let scale = 1.0 / SVM_ITERS as f64;
     for a in avg_w.iter_mut() {
         *a *= scale;
     }
     if span.active() {
-        span.record("iters", params.iters);
+        span.record("iters", SVM_ITERS);
     }
     let _rs = linarb_trace::span(Level::Trace, "ml", "ml.rationalize");
     rationalize(&avg_w)
@@ -417,7 +406,6 @@ mod tests {
         let neg = vec![s(&[0]), s(&[-5]), s(&[2])];
         let h = linear_classify(
             ClassifierKind::Perceptron,
-            &SvmParams::default(),
             &pos,
             &neg,
             7,
@@ -431,7 +419,7 @@ mod tests {
         // positives above x + y = 3, negatives below
         let pos = vec![s(&[2, 2]), s(&[3, 1]), s(&[0, 4]), s(&[5, 5])];
         let neg = vec![s(&[0, 0]), s(&[1, 1]), s(&[2, 0]), s(&[-3, 2])];
-        let h = linear_classify(ClassifierKind::Svm, &SvmParams::default(), &pos, &neg, 7)
+        let h = linear_classify(ClassifierKind::Svm, &pos, &neg, 7)
             .expect("separable");
         assert!(sep_perfectly(&h, &pos, &neg), "{h:?}");
     }
@@ -445,7 +433,6 @@ mod tests {
         let neg = vec![s(&[3, -3]), s(&[-3, 3])];
         let h = linear_classify(
             ClassifierKind::Perceptron,
-            &SvmParams::default(),
             &pos,
             &neg,
             7,
@@ -500,7 +487,7 @@ mod tests {
         // fallback path; it must still separate the two-point core.
         let pos = vec![s(&[1, 1])];
         let neg = vec![s(&[-1, -1])];
-        let h = linear_classify(ClassifierKind::Svm, &SvmParams::default(), &pos, &neg, 3)
+        let h = linear_classify(ClassifierKind::Svm, &pos, &neg, 3)
             .expect("two distinct points are separable");
         assert!(sep_perfectly(&h, &pos, &neg));
     }
@@ -509,7 +496,6 @@ mod tests {
     fn empty_classes_return_none() {
         assert!(linear_classify(
             ClassifierKind::Svm,
-            &SvmParams::default(),
             &[],
             &[s(&[1])],
             0
@@ -517,7 +503,6 @@ mod tests {
         .is_none());
         assert!(linear_classify(
             ClassifierKind::Perceptron,
-            &SvmParams::default(),
             &[s(&[1])],
             &[],
             0
@@ -529,7 +514,7 @@ mod tests {
     fn identical_point_both_classes_returns_none_or_imperfect() {
         let p = vec![s(&[2, 2])];
         let n = vec![s(&[2, 2])];
-        if let Some(h) = linear_classify(ClassifierKind::Svm, &SvmParams::default(), &p, &n, 0) {
+        if let Some(h) = linear_classify(ClassifierKind::Svm, &p, &n, 0) {
             // cannot separate identical points
             assert!(!sep_perfectly(&h, &p, &n));
         }

@@ -34,8 +34,9 @@
 //! The race always runs at least two engines at once, even on one
 //! core: the OS interleaves them and neither restarts. Which engine
 //! wins then depends on timing; the verdict does not, because it is
-//! certified. Setting `LINARB_PORTFOLIO_FORCE=<engine>` runs exactly
-//! one engine — the deterministic mode CI uses.
+//! certified. [`solve_single`] runs exactly one engine instead, with
+//! its certificate checked the same way — the deterministic mode
+//! behind `linarb --engine <name>`.
 
 use linarb_logic::{ChcSystem, Interpretation};
 use linarb_ml::LearnConfig;
@@ -44,8 +45,8 @@ use linarb_solver::{
     verify_interpretation, CegarSolver, DerivationNode, SolveResult, SolverConfig,
 };
 use linarb_baselines::{
-    bmc, BmcResult, DigLearner, InterpConfig, InterpMode, InterpResult, PdrConfig, PdrResult,
-    PdrSolver, PieLearner, UnwindInterp,
+    bmc, BmcResult, DigLearner, InterpMode, InterpResult, PdrMode, PdrResult, PdrSolver,
+    PieLearner, UnwindInterp,
 };
 use linarb_trace::{event, Level};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -295,31 +296,15 @@ pub struct PortfolioConfig {
     /// Race width: engines running at once. [`solve_portfolio`] runs
     /// at least 2 and at most one per engine.
     pub threads: usize,
-    /// Run exactly this engine (deterministic CI mode); set from
-    /// `LINARB_PORTFOLIO_FORCE` by [`PortfolioConfig::from_env`].
-    pub force: Option<EngineKind>,
 }
 
 impl Default for PortfolioConfig {
     fn default() -> Self {
-        PortfolioConfig { threads: 2, force: None }
+        PortfolioConfig { threads: 2 }
     }
 }
 
 impl PortfolioConfig {
-    /// Default config with `LINARB_PORTFOLIO_FORCE` honoured. An
-    /// engine name that does not parse is an error naming the variable
-    /// and the value, never a silent fall-back to the full race.
-    pub fn from_env() -> Result<PortfolioConfig, String> {
-        let mut c = PortfolioConfig::default();
-        if let Ok(name) = std::env::var("LINARB_PORTFOLIO_FORCE") {
-            let kind = EngineKind::parse(&name)
-                .ok_or_else(|| format!("LINARB_PORTFOLIO_FORCE: unknown engine `{name}`"))?;
-            c.force = Some(kind);
-        }
-        Ok(c)
-    }
-
     /// Builder: race width.
     pub fn with_threads(mut self, threads: usize) -> PortfolioConfig {
         self.threads = threads;
@@ -350,7 +335,7 @@ pub struct PortfolioOutcome {
     /// Which engine won, if any.
     pub winner: Option<EngineKind>,
     /// Per-engine outcome/time/winner rows, in [`EngineKind::race`]
-    /// order (one row when forced).
+    /// order (one row from [`solve_single`]).
     pub reports: Vec<EngineReport>,
     /// Total wall-clock of the run.
     pub wall: Duration,
@@ -431,13 +416,8 @@ pub fn run_engine(kind: EngineKind, sys: &ChcSystem, budget: &Budget) -> EngineV
             let config = SolverConfig::with_learner(Arc::new(learner));
             CegarSolver::new(sys, config).solve(budget).into()
         }
-        EngineKind::Spacer | EngineKind::Gpdr => {
-            let config = PdrConfig {
-                spacer_mode: kind == EngineKind::Spacer,
-                ..PdrConfig::default()
-            };
-            PdrSolver::new(sys, config).solve(budget).into()
-        }
+        EngineKind::Spacer => PdrSolver::new(sys, PdrMode::Spacer).solve(budget).into(),
+        EngineKind::Gpdr => PdrSolver::new(sys, PdrMode::Gpdr).solve(budget).into(),
         EngineKind::Bmc => bmc(sys, BMC_MAX_DEPTH, budget).into(),
         EngineKind::Duality | EngineKind::UAutomizer => {
             let mode = if kind == EngineKind::Duality {
@@ -445,8 +425,7 @@ pub fn run_engine(kind: EngineKind, sys: &ChcSystem, budget: &Budget) -> EngineV
             } else {
                 InterpMode::TraceRefinement
             };
-            let config = InterpConfig { mode, ..InterpConfig::default() };
-            match UnwindInterp::new(sys, config).solve(budget) {
+            match UnwindInterp::new(sys, mode).solve(budget) {
                 InterpResult::Sat(i) => EngineVerdict::Sat(Certificate::Invariant(i)),
                 InterpResult::Unsat { depth } => {
                     // Re-derive a replayable certificate at the claimed
@@ -489,21 +468,6 @@ impl WinnerSlot {
     }
 }
 
-/// Races the [`EngineKind::race`] engines on `sys` under `budget`, or
-/// runs the forced one alone. See the crate docs for the winning rule
-/// and cancellation semantics.
-pub fn solve_portfolio(
-    sys: &ChcSystem,
-    config: &PortfolioConfig,
-    budget: &Budget,
-) -> PortfolioOutcome {
-    let start = Instant::now();
-    if let Some(kind) = config.force {
-        return run_forced(kind, sys, budget, start);
-    }
-    run_racing(sys, config.threads, budget, start)
-}
-
 fn finish(
     verdict: EngineVerdict,
     winner: Option<EngineKind>,
@@ -536,17 +500,13 @@ fn skipped_reports(engines: &[EngineKind]) -> Vec<EngineReport> {
         .collect()
 }
 
-/// Deterministic CI mode: exactly one engine, full budget, certificate
-/// still checked.
-fn run_forced(
-    kind: EngineKind,
-    sys: &ChcSystem,
-    budget: &Budget,
-    start: Instant,
-) -> PortfolioOutcome {
-    let t0 = Instant::now();
+/// Runs exactly one engine under the full budget and checks its
+/// certificate as the race would: an uncertified definite verdict is
+/// demoted to `Unknown`. The outcome has one report row.
+pub fn solve_single(kind: EngineKind, sys: &ChcSystem, budget: &Budget) -> PortfolioOutcome {
+    let start = Instant::now();
     let verdict = run_engine(kind, sys, budget);
-    let time = t0.elapsed();
+    let time = start.elapsed();
     let certified = verdict
         .is_definite()
         .then(|| check_certificate(sys, &verdict, &budget.without_cancel()));
@@ -562,24 +522,25 @@ fn run_forced(
         verdict
     } else {
         EngineVerdict::Unknown(format!(
-            "forced engine {kind}: verdict {} not certified",
+            "engine {kind}: verdict {} not certified",
             verdict.label()
         ))
     };
     finish(final_verdict, won.then_some(kind), vec![report], start)
 }
 
-/// The race: `threads.max(2)` workers take the [`EngineKind::race`]
-/// engines in start order and run each once under the shared
-/// cancellable budget; the first certified verdict cancels the rest,
-/// and engines not yet started when it lands or when the budget runs
-/// out stay `skipped`.
-fn run_racing(
+/// Races the [`EngineKind::race`] engines on `sys` under `budget`:
+/// `threads.max(2)` workers take the engines in start order and run
+/// each once under the shared cancellable budget; the first certified
+/// verdict cancels the rest, and engines not yet started when it lands
+/// or when the budget runs out stay `skipped`. See the crate docs for
+/// the winning rule and cancellation semantics.
+pub fn solve_portfolio(
     sys: &ChcSystem,
-    threads: usize,
+    config: &PortfolioConfig,
     budget: &Budget,
-    start: Instant,
 ) -> PortfolioOutcome {
+    let start = Instant::now();
     let token = CancelToken::new();
     let shared = budget.clone().with_cancel_token(token.clone());
     let winner = WinnerSlot { slot: Mutex::new(None), token };
@@ -618,7 +579,7 @@ fn run_racing(
         );
         report
     };
-    let ran = parallel_map(threads.max(2), order.clone(), |i| {
+    let ran = parallel_map(config.threads.max(2), order.clone(), |i| {
         (!shared.exhausted()).then(|| race_one(engines[i]))
     });
     let mut reports = skipped_reports(&engines);
@@ -770,11 +731,7 @@ mod tests {
     fn forced_engine_is_deterministic() {
         let sys = parse_chc(SAFE).unwrap();
         let budget = Budget::timeout(Duration::from_secs(30));
-        let config = PortfolioConfig {
-            force: Some(EngineKind::Spacer),
-            ..PortfolioConfig::default()
-        };
-        let out = solve_portfolio(&sys, &config, &budget);
+        let out = solve_single(EngineKind::Spacer, &sys, &budget);
         assert_eq!(out.winner, Some(EngineKind::Spacer), "{out:?}");
         assert_eq!(out.reports.len(), 1);
         assert!(out.reports[0].certified == Some(true));

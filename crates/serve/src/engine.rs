@@ -445,10 +445,11 @@ impl ServeCore {
 }
 
 /// The CEGAR loop on the stateless oracle, unlike the CLI's
-/// default. On `serve_replay` (seed 1, 20 s, one run each) it took
-/// `total_s` 1.06 s against 1.80 s on the incremental oracle, at
-/// the same peak memory (DESIGN.md §8, §15). Large systems favour
-/// the incremental oracle and are not measured through the daemon.
+/// default. In a probe on `serve_replay` (seeds 1–5, 20 s, five runs
+/// each, 2-core VM) it took a median `total_s` of 0.961 s against
+/// 1.148 s on the incremental oracle, and `p90_ms` 9.98 against 15.46
+/// (DESIGN.md §8, §15). Large systems favour the incremental oracle
+/// and are not measured through the daemon.
 fn run_solver(
     sys: &ChcSystem,
     seed_atoms: Vec<(PredId, Atom)>,

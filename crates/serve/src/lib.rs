@@ -25,7 +25,10 @@
 //!
 //! Fresh solves run the CEGAR engine on the stateless oracle
 //! (`OracleMode::Fresh`), which carries no per-clause state between
-//! checks and so none between jobs either.
+//! checks and so none between jobs either; on `serve_replay` it is
+//! faster than the incremental oracle (DESIGN.md §8). The oracle is
+//! the only solver setting the daemon picks differently from the
+//! CLI.
 //!
 //! The daemon ([`server`]) speaks length-prefixed JSON frames
 //! ([`linarb_trace::frame`]) over a Unix or TCP socket; batches are

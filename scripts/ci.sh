@@ -22,10 +22,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== tests (LINARB_THREADS=1) =="
 LINARB_THREADS=1 cargo test -q --offline --workspace
 
-echo "== seeding differential gate =="
-# Seeded vs unseeded runs must agree on verdicts (with both sat
-# interpretations verifying independently). Repeated here by name so
-# a filtered CI invocation cannot skip it silently.
+echo "== seeding ground-truth gate =="
+# Seeding is always on: every seeded verdict must equal the suite's
+# ground truth, every sat interpretation must verify clause by clause,
+# every unsat derivation must replay, and each problem must harvest at
+# least one seed plane. Repeated here by name so a filtered CI
+# invocation cannot skip it silently.
 cargo test -q --offline -p linarb-bench --test seeding
 
 echo "== oracle differential gate (box enumeration reference) =="
@@ -42,9 +44,9 @@ echo "== portfolio differential gate (1 and 4 threads) =="
 # The portfolio driver's verdicts must agree with every single engine
 # on the whole suite, winning certificates must check on both
 # polarities (SAT invariants verified clause-by-clause, UNSAT
-# derivations replayed), forced-winner mode must be deterministic, and
-# the harder tier must contain instances lone CEGAR times out on but
-# the portfolio solves. LINARB_THREADS picks the race width inside the
+# derivations replayed), a single engine run alone must be
+# deterministic, and the harder tier must contain instances lone CEGAR
+# times out on but the portfolio solves. LINARB_THREADS picks the race width inside the
 # driver, which races at least two engines: 1 is clamped to 2 (cegar
 # beside spacer, one engine per solver family first), 4 starts cegar,
 # spacer, bmc and duality together under one cancellable budget. The
@@ -56,17 +58,17 @@ LINARB_THREADS=4 cargo test -q --offline -p linarb-bench --test portfolio
 echo "== portfolio CLI smoke =="
 # End-to-end through the binary: `--engine portfolio` must solve fig1
 # at every race width (1 is clamped to 2, the benchmark's and a 2-core
-# host's width), and the LINARB_PORTFOLIO_FORCE override must pin the
-# winner (cegar solves fig1; the paper reports Spacer diverging on it,
-# which is exactly why the forced engine is cegar).
+# host's width), and `--engine cegar` must run that engine alone and
+# solve it (the paper reports Spacer diverging on fig1, which is
+# exactly why the single engine here is cegar).
 for t in 1 2 4; do
     out="$(cargo run --release --offline -p linarb --bin linarb -- \
         --engine portfolio --threads "$t" --timeout-ms 60000 examples/fig1.smt2)"
     [ "$out" = "sat" ] || { echo "portfolio CLI: fig1 at $t threads got '$out'" >&2; exit 1; }
 done
-out="$(LINARB_PORTFOLIO_FORCE=cegar cargo run --release --offline -p linarb --bin linarb -- \
-    --engine portfolio --timeout-ms 60000 examples/fig1.smt2)"
-[ "$out" = "sat" ] || { echo "portfolio CLI: forced cegar on fig1 got '$out'" >&2; exit 1; }
+out="$(cargo run --release --offline -p linarb --bin linarb -- \
+    --engine cegar --timeout-ms 60000 examples/fig1.smt2)"
+[ "$out" = "sat" ] || { echo "portfolio CLI: cegar alone on fig1 got '$out'" >&2; exit 1; }
 
 echo "== serve smoke (daemon + batch over a unix socket and over tcp) =="
 # End-to-end through the daemon: start `linarb serve`, submit a batch

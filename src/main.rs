@@ -299,25 +299,18 @@ fn main() -> ExitCode {
     let mut cegar = None;
     let mut race = None;
     match cli.engine {
-        Some(sel) => {
-            let mut pconfig = match PortfolioConfig::from_env() {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("linarb: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+        Some(EngineSel::Portfolio) => {
+            let mut pconfig = PortfolioConfig::default();
             if let Some(t) = cli
                 .threads
                 .or_else(|| std::env::var("LINARB_THREADS").ok()?.parse().ok())
             {
                 pconfig.threads = t;
             }
-            if let EngineSel::Single(kind) = sel {
-                // CLI selection beats LINARB_PORTFOLIO_FORCE.
-                pconfig.force = Some(kind);
-            }
             race = Some(portfolio::solve_portfolio(&sys, &pconfig, &budget));
+        }
+        Some(EngineSel::Single(kind)) => {
+            race = Some(portfolio::solve_single(kind, &sys, &budget));
         }
         None => {
             let mut solver = CegarSolver::new(&sys, config);

@@ -87,7 +87,7 @@ fn all_engines_sound_on_mixed_sample() {
     // Every engine, on a small mixed suite: no engine may ever
     // contradict ground truth.
     use linarb::baselines::{
-        DigLearner, InterpConfig, InterpMode, PdrConfig, PdrSolver, PieLearner, UnwindInterp,
+        DigLearner, InterpMode, PdrMode, PdrSolver, PieLearner, UnwindInterp,
     };
     use std::sync::Arc;
 
@@ -112,11 +112,8 @@ fn all_engines_sound_on_mixed_sample() {
             }
         }
         // PDR
-        for spacer in [false, true] {
-            let mut pdr = PdrSolver::new(
-                &bench.system,
-                PdrConfig { spacer_mode: spacer, ..PdrConfig::default() },
-            );
+        for mode in [PdrMode::Gpdr, PdrMode::Spacer] {
+            let mut pdr = PdrSolver::new(&bench.system, mode);
             match pdr.solve(&short) {
                 linarb::baselines::PdrResult::Sat(_) => {
                     assert_eq!(bench.expected, Expected::Safe, "{} pdr", bench.name)
@@ -129,10 +126,7 @@ fn all_engines_sound_on_mixed_sample() {
         }
         // Interpolation
         for mode in [InterpMode::Duality, InterpMode::TraceRefinement] {
-            let mut ui = UnwindInterp::new(
-                &bench.system,
-                InterpConfig { mode, ..InterpConfig::default() },
-            );
+            let mut ui = UnwindInterp::new(&bench.system, mode);
             match ui.solve(&short) {
                 linarb::baselines::InterpResult::Sat(_) => {
                     assert_eq!(bench.expected, Expected::Safe, "{} interp", bench.name)
