@@ -9,7 +9,9 @@
 
 use linarb_arith::{int, rat, BigRational};
 use linarb_logic::{Atom, Formula, LinExpr, Var};
-use linarb_ml::{learn, linear_classify, ClassifierKind, Dataset, LearnConfig};
+use linarb_ml::{
+    learn, learn_seeded, linear_classify, ClassifierKind, Dataset, LearnConfig, SeedStore,
+};
 use linarb_sat::{Lit, SatResult, SatSolver};
 use linarb_smt::{check_sat, simplex::Simplex, Budget};
 use linarb_solver::{CegarSolver, SolverConfig};
@@ -178,6 +180,29 @@ fn bench_learn() {
     let params = vec![Var::from_index(0), Var::from_index(1)];
     bench_function("learn_diamond_alg2", || {
         learn(&d, &params, &LearnConfig::default()).unwrap()
+    });
+
+    // One CEGAR learn call at the size `gr2006` works at: dimension 2,
+    // ~150 samples of a disjunctive invariant, 4 seed planes.
+    let mut d = Dataset::new(2);
+    for x in -6..=6i64 {
+        for y in -6..=5i64 {
+            let s = vec![int(x), int(y)];
+            if (x >= 0 && y <= x) || (x < 0 && y >= 2 * x + 3) {
+                d.add_positive(s);
+            } else {
+                d.add_negative(s);
+            }
+        }
+    }
+    let mut store = SeedStore::new();
+    let pred = linarb_logic::PredId(0);
+    for dir in [[1, 0], [0, 1], [1, -1], [2, -1]] {
+        store.add_dir(pred, vec![int(dir[0]), int(dir[1])]);
+    }
+    let seeds = store.planes(pred);
+    bench_function("learn_seeded_156x2_4seeds", || {
+        learn_seeded(&d, &params, &LearnConfig::default(), seeds).unwrap()
     });
 }
 

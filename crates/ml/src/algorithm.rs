@@ -13,12 +13,17 @@
 //! two-point separator — any two *distinct* integer points are
 //! separable by `w = p − n` — so recursion terminates on every
 //! consistent dataset.
+//!
+//! Every recursion level works on row-index subsets of the call's
+//! [`Table`], whose projection columns the seed scoring, the refit and
+//! the partition share.
 
 use crate::dataset::{Dataset, Sample};
 use crate::linear::{
-    linear_classify, refit_intercept, refit_intercept_scored, ClassifierKind, Hyperplane,
+    classify, refit_intercept, refit_intercept_scored, ClassifierKind, Fit, Hyperplane,
 };
 use crate::seed::SeedPlane;
+use crate::table::Table;
 use linarb_arith::BigInt;
 use linarb_logic::{Atom, Formula, LinExpr, Var};
 
@@ -74,7 +79,7 @@ impl Default for LearnConfig {
 const SEED: u64 = 0x11AB;
 
 /// Converts a hyperplane `w·x ≥ c` into an atom over `params`.
-pub fn hyperplane_to_atom(h: &Hyperplane, params: &[Var]) -> Atom {
+fn hyperplane_to_atom(h: &Hyperplane, params: &[Var]) -> Atom {
     let lhs = LinExpr::from_terms(
         params
             .iter()
@@ -118,55 +123,60 @@ pub fn linear_arbitrary(
     params: &[Var],
     config: &LearnConfig,
 ) -> Result<Formula, LearnError> {
-    let mut hits = Vec::new();
-    linear_arbitrary_seeded(data, params, config, &[], &mut hits)
+    let mut t = table(data, params)?;
+    linear_arbitrary_seeded(&mut t, params, config, &[], &mut Vec::new())
 }
 
-/// [`linear_arbitrary`] with a symbolic seed fast path: at every
-/// recursion level, the seed directions are scored by an exact
-/// intercept refit first. A seed that separates the level's samples
-/// perfectly — or captures every positive while excluding at least one
-/// negative (guaranteed conjunctive progress, the shape of
+/// The table of one learn call over `data`, once `data` is known to be
+/// consistent.
+///
+/// # Errors
+///
+/// [`LearnError::ContradictorySamples`] if a point carries both
+/// labels.
+pub(crate) fn table<'a>(data: &'a Dataset, params: &[Var]) -> Result<Table<'a>, LearnError> {
+    assert_eq!(params.len(), data.dim(), "one parameter per dimension");
+    if let Some(s) = data.first_contradiction() {
+        return Err(LearnError::ContradictorySamples(s.clone()));
+    }
+    Ok(Table::new(data.dim(), data.positives(), data.negatives()))
+}
+
+/// [`linear_arbitrary`] on every row of `t`, with a symbolic seed fast
+/// path: at every recursion level, the seed directions are scored by an
+/// exact intercept refit first. A seed that separates the level's
+/// samples perfectly — or captures every positive while excluding at
+/// least one negative (guaranteed conjunctive progress, the shape of
 /// equality-style invariants) — replaces the classifier run outright.
 /// Indices of directly-used seeds are appended to `hits`.
-pub fn linear_arbitrary_seeded(
-    data: &Dataset,
+pub(crate) fn linear_arbitrary_seeded(
+    t: &mut Table,
     params: &[Var],
     config: &LearnConfig,
     seeds: &[SeedPlane],
     hits: &mut Vec<usize>,
 ) -> Result<Formula, LearnError> {
-    assert_eq!(params.len(), data.dim(), "one parameter per dimension");
-    if let Some(s) = data.first_contradiction() {
-        return Err(LearnError::ContradictorySamples(s.clone()));
-    }
-    let depth_guard = 8 * (data.len() + 4);
-    la_rec(
-        data.positives(),
-        data.negatives(),
-        params,
-        config,
-        seeds,
-        hits,
-        depth_guard,
-    )
+    let (pos, neg) = t.classes();
+    let depth_guard = 8 * (t.len() + 4);
+    la_rec(t, &pos, &neg, params, config, seeds, hits, depth_guard)
 }
 
 /// Scores every seed direction by exact refit; returns the best as
-/// `(index, hyperplane, errors, pos_errors)`. Deterministic: strict
+/// `(index, fit, errors, pos_errors)`. Deterministic: strict
 /// improvement in error count, first index wins ties, early exit on a
 /// perfect separator.
 fn best_seed(
+    t: &mut Table,
     seeds: &[SeedPlane],
-    pos: &[Sample],
-    neg: &[Sample],
-) -> Option<(usize, Hyperplane, usize, usize)> {
-    let mut best: Option<(usize, Hyperplane, usize, usize)> = None;
+    pos: &[u32],
+    neg: &[u32],
+) -> Option<(usize, Fit, usize, usize)> {
+    let mut best: Option<(usize, Fit, usize, usize)> = None;
     for (i, sp) in seeds.iter().enumerate() {
-        if let Some((h, errors, pos_errors)) = refit_intercept_scored(sp.dir(), pos, neg) {
-            if best.as_ref().map_or(true, |(_, _, e, _)| errors < *e) {
+        if let Some((f, errors, pos_errors)) = refit_intercept_scored(t, sp.dir(), pos, neg) {
+            if best.as_ref().is_none_or(|(_, _, e, _)| errors < *e) {
                 let perfect = errors == 0;
-                best = Some((i, h, errors, pos_errors));
+                best = Some((i, f, errors, pos_errors));
                 if perfect {
                     break;
                 }
@@ -176,9 +186,11 @@ fn best_seed(
     best
 }
 
+#[allow(clippy::too_many_arguments)]
 fn la_rec(
-    pos: &[Sample],
-    neg: &[Sample],
+    t: &mut Table,
+    pos: &[u32],
+    neg: &[u32],
     params: &[Var],
     config: &LearnConfig,
     seeds: &[SeedPlane],
@@ -195,17 +207,17 @@ fn la_rec(
         return Err(LearnError::DepthExceeded);
     }
 
-    let mut hp: Option<Hyperplane> = None;
-    if let Some((i, h, errors, pos_errors)) = best_seed(seeds, pos, neg) {
+    let mut fit: Option<Fit> = None;
+    if let Some((i, f, errors, pos_errors)) = best_seed(t, seeds, pos, neg) {
         if errors == 0 || (pos_errors == 0 && errors < neg.len()) {
             hits.push(i);
-            hp = Some(h);
+            fit = Some(f);
         }
     }
-    if hp.is_none() {
-        hp = linear_classify(config.classifier, pos, neg, SEED ^ fuel as u64);
+    if fit.is_none() {
+        fit = classify(config.classifier, t, pos, neg, SEED ^ fuel as u64);
     }
-    let mut split = hp.as_ref().map(|h| partition(h, pos, neg));
+    let mut split = fit.as_ref().map(|f| partition(t, f, pos, neg));
     // Progress guard: the hyperplane must capture at least one
     // positive, and must not classify everything as positive.
     let useless = match &split {
@@ -215,11 +227,11 @@ fn la_rec(
         }
     };
     if useless {
-        let h = two_point_separator(pos, neg)?;
-        split = Some(partition(&h, pos, neg));
-        hp = Some(h);
+        let f = two_point_separator(t, pos, neg)?;
+        split = Some(partition(t, &f, pos, neg));
+        fit = Some(f);
     }
-    let h = hp.expect("set above");
+    let h = fit.expect("set above").h;
     let (ok_pos, bad_pos, bad_neg) = split.expect("set above");
     debug_assert!(!ok_pos.is_empty());
     debug_assert!(bad_neg.len() < neg.len() || !bad_pos.is_empty());
@@ -228,72 +240,61 @@ fn la_rec(
     if !bad_neg.is_empty() {
         // line 5-6: conjoin a classifier separating the captured
         // positives from the misclassified negatives.
-        let sub = la_rec(&ok_pos, &bad_neg, params, config, seeds, hits, fuel - 1)?;
+        let sub = la_rec(t, &ok_pos, &bad_neg, params, config, seeds, hits, fuel - 1)?;
         phi = Formula::and(vec![phi, sub]);
     }
     if !bad_pos.is_empty() {
         // line 7-8: disjoin a classifier for the missed positives.
-        let sub = la_rec(&bad_pos, neg, params, config, seeds, hits, fuel - 1)?;
+        let sub = la_rec(t, &bad_pos, neg, params, config, seeds, hits, fuel - 1)?;
         phi = Formula::or(vec![phi, sub]);
     }
     Ok(phi)
 }
 
-type Partition = (Vec<Sample>, Vec<Sample>, Vec<Sample>);
+type Partition = (Vec<u32>, Vec<u32>, Vec<u32>);
 
-/// Splits samples by the hyperplane:
+/// Splits rows by the fitted hyperplane, reading its column:
 /// `(S⁺✓, S⁺✗, S⁻✗)` — correctly captured positives, missed
 /// positives, misclassified negatives.
-fn partition(h: &Hyperplane, pos: &[Sample], neg: &[Sample]) -> Partition {
-    let mut ok_pos = Vec::new();
-    let mut bad_pos = Vec::new();
-    let mut bad_neg = Vec::new();
-    for p in pos {
-        if h.predict(p) {
-            ok_pos.push(p.clone());
-        } else {
-            bad_pos.push(p.clone());
-        }
-    }
-    for n in neg {
-        if h.predict(n) {
-            bad_neg.push(n.clone());
-        }
-    }
+fn partition(t: &Table, f: &Fit, pos: &[u32], neg: &[u32]) -> Partition {
+    let cut = f.cut(t);
+    let (ok_pos, bad_pos) = pos.iter().partition(|&&i| cut.holds(i));
+    let bad_neg = neg.iter().copied().filter(|&i| cut.holds(i)).collect();
     (ok_pos, bad_pos, bad_neg)
 }
 
-/// Exact separator of `pos[0]` from `neg[0]` along `w = p − n`,
-/// refit against all samples to capture as much as possible.
-fn two_point_separator(pos: &[Sample], neg: &[Sample]) -> Result<Hyperplane, LearnError> {
-    // Find a (p, n) pair of distinct points.
-    for p in pos {
-        for n in neg {
-            if p == n {
+/// Exact separator of the first distinct `(p, n)` pair along
+/// `w = p − n`, refit against all rows to capture as much as possible.
+fn two_point_separator(t: &mut Table, pos: &[u32], neg: &[u32]) -> Result<Fit, LearnError> {
+    for &p in pos {
+        for &n in neg {
+            let (ps, ns) = (t.row(p), t.row(n));
+            if ps == ns {
                 continue;
             }
-            let dir: Vec<BigInt> = p.iter().zip(n.iter()).map(|(a, b)| a - b).collect();
+            let dir: Vec<BigInt> = ps.iter().zip(ns).map(|(a, b)| a - b).collect();
             // Refit on the full data for quality, but then *force* the
             // separation of p from n if the refit compromised it.
-            if let Some(h) = refit_intercept(&dir, pos, neg) {
-                if h.predict(p) && !h.predict(n) {
-                    return Ok(h);
+            if let Some(f) = refit_intercept(t, &dir, pos, neg) {
+                let cut = f.cut(t);
+                if cut.holds(p) && !cut.holds(n) {
+                    return Ok(f);
                 }
             }
             // Direct threshold: midpoint of the projections.
-            let hp = Hyperplane { weights: dir.clone(), threshold: BigInt::zero() };
-            let tp = hp.project(p);
-            let tn = hp.project(n);
+            let col = t.linear(&dir);
+            let (tp, tn) = (t.value(col, p), t.value(col, n));
             debug_assert!(tp > tn);
             let threshold = &(&tp + &tn).div_mod_floor(&BigInt::from(2)).0 + &BigInt::one();
-            let h = Hyperplane { weights: dir, threshold };
-            if h.predict(p) && !h.predict(n) {
-                return Ok(h);
+            let f = Fit { h: Hyperplane { weights: dir, threshold }, col };
+            let cut = f.cut(t);
+            if cut.holds(p) && !cut.holds(n) {
+                return Ok(f);
             }
         }
     }
     // Every positive equals every negative: contradictory data.
-    Err(LearnError::ContradictorySamples(pos[0].clone()))
+    Err(LearnError::ContradictorySamples(t.row(pos[0]).clone()))
 }
 
 #[cfg(test)]

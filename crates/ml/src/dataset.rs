@@ -10,7 +10,9 @@ pub type Sample = Vec<BigInt>;
 /// Positive and negative samples of one unknown predicate.
 ///
 /// Invariants: all samples share the dataset's dimension; duplicates
-/// within a class are dropped.
+/// within a class are dropped. Whether some point carries both labels
+/// is tracked as samples are inserted, so the consistency check every
+/// learn call starts with costs no scan.
 ///
 /// ```
 /// use linarb_arith::int;
@@ -28,6 +30,8 @@ pub struct Dataset {
     neg: Vec<Sample>,
     pos_set: HashSet<Sample>,
     neg_set: HashSet<Sample>,
+    /// Index in `pos` of the first positive that is also negative.
+    contradiction: Option<usize>,
 }
 
 impl Dataset {
@@ -49,12 +53,14 @@ impl Dataset {
     /// Panics if the sample dimension does not match.
     pub fn add_positive(&mut self, s: Sample) -> bool {
         assert_eq!(s.len(), self.dim, "sample dimension mismatch");
-        if self.pos_set.insert(s.clone()) {
-            self.pos.push(s);
-            true
-        } else {
-            false
+        if !self.pos_set.insert(s.clone()) {
+            return false;
         }
+        if self.contradiction.is_none() && self.neg_set.contains(&s) {
+            self.contradiction = Some(self.pos.len());
+        }
+        self.pos.push(s);
+        true
     }
 
     /// Adds a negative sample; returns `false` if it was already
@@ -65,12 +71,17 @@ impl Dataset {
     /// Panics if the sample dimension does not match.
     pub fn add_negative(&mut self, s: Sample) -> bool {
         assert_eq!(s.len(), self.dim, "sample dimension mismatch");
-        if self.neg_set.insert(s.clone()) {
-            self.neg.push(s);
-            true
-        } else {
-            false
+        if !self.neg_set.insert(s.clone()) {
+            return false;
         }
+        if self.pos_set.contains(&s) {
+            // Rare (the CEGAR loop never makes one), so a scan finds
+            // the positive's index.
+            let i = self.pos.iter().position(|p| *p == s).expect("in pos_set");
+            self.contradiction = Some(self.contradiction.map_or(i, |c| c.min(i)));
+        }
+        self.neg.push(s);
+        true
     }
 
     /// Removes every negative sample (the paper's head-weakening step
@@ -78,6 +89,7 @@ impl Dataset {
     pub fn clear_negatives(&mut self) {
         self.neg.clear();
         self.neg_set.clear();
+        self.contradiction = None;
     }
 
     /// The positive samples, in insertion order.
@@ -121,9 +133,10 @@ impl Dataset {
         self.first_contradiction().is_none()
     }
 
-    /// A sample labeled both positive and negative, if any.
+    /// The first positive sample, in insertion order, that is also
+    /// labeled negative, if any.
     pub fn first_contradiction(&self) -> Option<&Sample> {
-        self.pos.iter().find(|s| self.neg_set.contains(*s))
+        self.contradiction.map(|i| &self.pos[i])
     }
 }
 
@@ -154,10 +167,32 @@ mod tests {
     fn contradiction_detection() {
         let mut d = Dataset::new(2);
         d.add_positive(s(0, 0));
+        d.add_positive(s(1, 1));
+        d.add_positive(s(2, 2));
         assert!(d.is_consistent());
-        d.add_negative(s(0, 0));
+        // Appears when a negative repeats a positive…
+        d.add_negative(s(2, 2));
         assert!(!d.is_consistent());
+        assert_eq!(d.first_contradiction(), Some(&s(2, 2)));
+        // …names the earliest such positive, whichever label came last…
+        d.add_negative(s(0, 0));
         assert_eq!(d.first_contradiction(), Some(&s(0, 0)));
+        d.add_negative(s(1, 1));
+        assert_eq!(d.first_contradiction(), Some(&s(0, 0)));
+        // …and is cleared with the negatives.
+        d.clear_negatives();
+        assert!(d.is_consistent());
+        assert_eq!(d.first_contradiction(), None);
+        // A positive that repeats an earlier negative counts too.
+        d.add_negative(s(7, 7));
+        d.add_negative(s(1, 1));
+        assert_eq!(d.first_contradiction(), Some(&s(1, 1)));
+        d.add_positive(s(7, 7));
+        assert_eq!(d.first_contradiction(), Some(&s(1, 1)));
+        d.clear_negatives();
+        d.add_negative(s(9, 9));
+        d.add_positive(s(9, 9));
+        assert_eq!(d.first_contradiction(), Some(&s(9, 9)));
     }
 
     #[test]

@@ -7,15 +7,18 @@
 //! *Beyond Polyhedra*). Each internal node tests `f(x) ≤ c`; the tree
 //! must classify the training data perfectly (the paper tunes its DT
 //! implementation the same way), choosing splits by information gain.
+//! Feature values come from the learn call's [`Table`], which holds
+//! each feature's column once for Algorithm 1 and the tree together.
 
-use crate::dataset::{Dataset, Sample};
+use crate::dataset::Sample;
+use crate::table::{Col, Table};
 use linarb_arith::BigInt;
 use linarb_logic::{Atom, Formula, LinExpr, ModAtom, Var};
 use std::fmt;
 
 /// An integer-valued feature attribute.
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub enum Feature {
+pub(crate) enum Feature {
     /// `w·x` for an integer weight vector over the sample dimensions.
     Linear(Vec<BigInt>),
     /// `x_dim mod modulus` (result in `[0, modulus)`).
@@ -29,15 +32,31 @@ pub enum Feature {
 
 impl Feature {
     /// Evaluates the feature on a sample.
-    pub fn eval(&self, s: &Sample) -> BigInt {
+    pub(crate) fn eval(&self, s: &Sample) -> BigInt {
         match self {
             Feature::Linear(w) => w.iter().zip(s.iter()).map(|(a, b)| a * b).sum(),
             Feature::Mod { dim, modulus } => s[*dim].mod_floor(modulus),
         }
     }
 
+    /// [`Feature::eval`] in `i128` arithmetic, or `None` when a
+    /// coordinate or coefficient leaves `i64` or a sum overflows. Most
+    /// samples are small, and `i128` products and comparisons are far
+    /// cheaper than `BigInt` ones.
+    pub(crate) fn eval_i128(&self, s: &Sample) -> Option<i128> {
+        match self {
+            Feature::Linear(w) => w.iter().zip(s).try_fold(0i128, |acc, (a, b)| {
+                acc.checked_add(i128::from(a.to_i64()?) * i128::from(b.to_i64()?))
+            }),
+            Feature::Mod { dim, modulus } => {
+                let m = modulus.to_i64().filter(|m| *m > 0)?;
+                Some(i128::from(s[*dim].to_i64()?.rem_euclid(m)))
+            }
+        }
+    }
+
     /// The formula for the decision `f(x) ≤ c` over `params`.
-    pub fn le_formula(&self, c: &BigInt, params: &[Var]) -> Formula {
+    pub(crate) fn le_formula(&self, c: &BigInt, params: &[Var]) -> Formula {
         match self {
             Feature::Linear(w) => {
                 let lhs = LinExpr::from_terms(
@@ -75,7 +94,7 @@ impl fmt::Debug for Feature {
 
 /// A learned decision tree.
 #[derive(Clone, Debug)]
-pub enum DecisionTree {
+pub(crate) enum DecisionTree {
     /// Classify as positive (`true`) or negative (`false`).
     Leaf(bool),
     /// Test `feature(x) ≤ threshold`; `then` on true, `els` on false.
@@ -93,7 +112,8 @@ pub enum DecisionTree {
 
 impl DecisionTree {
     /// Classifies a sample.
-    pub fn classify(&self, features: &[Feature], s: &Sample) -> bool {
+    #[cfg(test)]
+    fn classify(&self, features: &[Feature], s: &Sample) -> bool {
         match self {
             DecisionTree::Leaf(b) => *b,
             DecisionTree::Node { feature, threshold, then, els } => {
@@ -107,7 +127,7 @@ impl DecisionTree {
     }
 
     /// Number of nodes.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         match self {
             DecisionTree::Leaf(_) => 1,
             DecisionTree::Node { then, els, .. } => 1 + then.size() + els.size(),
@@ -115,7 +135,7 @@ impl DecisionTree {
     }
 
     /// Depth of the tree (a lone leaf has depth 1).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         match self {
             DecisionTree::Leaf(_) => 1,
             DecisionTree::Node { then, els, .. } => 1 + then.depth().max(els.depth()),
@@ -124,7 +144,7 @@ impl DecisionTree {
 
     /// Converts the tree into the disjunction over all paths reaching
     /// positive leaves (the paper's DT-to-formula conversion).
-    pub fn to_formula(&self, features: &[Feature], params: &[Var]) -> Formula {
+    pub(crate) fn to_formula(&self, features: &[Feature], params: &[Var]) -> Formula {
         fn walk(
             t: &DecisionTree,
             features: &[Feature],
@@ -154,7 +174,7 @@ impl DecisionTree {
 }
 
 /// Shannon entropy of a (positive, negative) split, in bits.
-pub fn entropy(pos: usize, neg: usize) -> f64 {
+fn entropy(pos: usize, neg: usize) -> f64 {
     let n = pos + neg;
     if n == 0 || pos == 0 || neg == 0 {
         return 0.0;
@@ -165,73 +185,43 @@ pub fn entropy(pos: usize, neg: usize) -> f64 {
 }
 
 /// Information gain of splitting `(pos, neg)` into
-/// `(pos_le, neg_le)` / `(pos_gt, neg_gt)`.
-pub fn information_gain(
-    pos_le: usize,
-    neg_le: usize,
-    pos_gt: usize,
-    neg_gt: usize,
-) -> f64 {
+/// `(pos_le, neg_le)` / `(pos_gt, neg_gt)`, given the entropy `before`
+/// of the unsplit `(pos_le + pos_gt, neg_le + neg_gt)`, which one node
+/// computes once for all its candidates. Never exceeds `before`: it
+/// subtracts two non-negative terms from it.
+fn split_gain(before: f64, pos_le: usize, neg_le: usize, pos_gt: usize, neg_gt: usize) -> f64 {
     let n = (pos_le + neg_le + pos_gt + neg_gt) as f64;
     if n == 0.0 {
         return 0.0;
     }
-    let before = entropy(pos_le + pos_gt, neg_le + neg_gt);
     let le = (pos_le + neg_le) as f64 / n;
     let gt = (pos_gt + neg_gt) as f64 / n;
     before - le * entropy(pos_le, neg_le) - gt * entropy(pos_gt, neg_gt)
 }
 
-/// Learns a decision tree that classifies `data` perfectly using the
-/// given features, or `None` if the features cannot distinguish some
-/// positive from some negative sample.
+/// Learns a decision tree that classifies every row of `t` perfectly
+/// using the given features, or `None` if the features cannot
+/// distinguish some positive from some negative sample.
 ///
-/// Every feature is evaluated on every sample exactly once up front;
-/// node splits work on cached projections and a per-feature sorted
-/// sample order, so each node's threshold scan is a single sweep
-/// instead of the former per-candidate `Feature::eval` rescans (the
-/// learner-phase hot spot once the feature set grows with seeds).
-pub fn dt_learn(data: &Dataset, features: &[Feature]) -> Option<DecisionTree> {
+/// Each feature's column and sorted row order come from the table, so
+/// a direction Algorithm 1 already projected (a seed, a learned atom's
+/// hyperplane) costs the tree nothing; each node's threshold scan is a
+/// single sweep per feature over that order.
+pub(crate) fn dt_learn(t: &mut Table, features: &[Feature]) -> Option<DecisionTree> {
     use linarb_trace::Level;
     let mut span = linarb_trace::span(Level::Debug, "ml", "ml.dtree");
-    let n_pos = data.num_positive();
-    let samples: Vec<&Sample> = data
-        .positives()
-        .iter()
-        .chain(data.negatives().iter())
-        .collect();
-    let n = samples.len();
     if span.active() {
-        span.record("samples", n);
+        span.record("samples", t.len());
         span.record("features", features.len());
     }
-    let vals: Vec<Vec<BigInt>> = features
-        .iter()
-        .map(|f| samples.iter().map(|s| f.eval(s)).collect())
-        .collect();
-    // Stable sort: ties keep sample order, so the sweep's candidate
-    // enumeration is deterministic.
-    let orders: Vec<Vec<u32>> = vals
-        .iter()
-        .map(|col| {
-            let mut idx: Vec<u32> = (0..n as u32).collect();
-            idx.sort_by(|&a, &b| col[a as usize].cmp(&col[b as usize]));
-            idx
-        })
-        .collect();
-    let members: Vec<u32> = (0..n as u32).collect();
-    let mut mask = vec![false; n];
-    build(&members, n_pos, &vals, &orders, &mut mask)
+    let cols: Vec<Col> = features.iter().map(|f| t.feature(f)).collect();
+    let members: Vec<u32> = (0..t.len() as u32).collect();
+    build(t, &cols, &members)
 }
 
-fn build(
-    members: &[u32],
-    n_pos: usize,
-    vals: &[Vec<BigInt>],
-    orders: &[Vec<u32>],
-    mask: &mut [bool],
-) -> Option<DecisionTree> {
-    // Samples are indexed globally: positives first, negatives after.
+fn build(t: &mut Table, cols: &[Col], members: &[u32]) -> Option<DecisionTree> {
+    // Rows are positives first, negatives after.
+    let n_pos = t.n_pos();
     let pos_cnt = members.iter().filter(|&&i| (i as usize) < n_pos).count();
     let neg_cnt = members.len() - pos_cnt;
     if neg_cnt == 0 {
@@ -241,69 +231,56 @@ fn build(
         return Some(DecisionTree::Leaf(false));
     }
     // Pick the (feature, threshold) with maximal information gain:
-    // walk this node's members in each feature's global value order,
+    // walk this node's members in each feature's sorted order,
     // evaluating a candidate at every distinct value except the last
-    // (same candidate set and tie-breaks as the naive scan).
-    for &i in members {
-        mask[i as usize] = true;
-    }
-    let mut best: Option<(f64, usize, &BigInt)> = None;
-    for (fi, order) in orders.iter().enumerate() {
-        let col = &vals[fi];
+    // (same candidate set and tie-breaks as the naive scan). A
+    // candidate threshold is the value of the row that starts its run.
+    // No gain exceeds the node's entropy `before`, so once the best
+    // reaches it no later candidate can replace it, and the scan stops.
+    let before = entropy(pos_cnt, neg_cnt);
+    let unbeatable = |best: &Option<(f64, usize, u32)>| {
+        best.is_some_and(|(b, _, _)| b + 1e-12 >= before)
+    };
+    let mut best: Option<(f64, usize, u32)> = None;
+    for (fi, &col) in cols.iter().enumerate() {
+        if unbeatable(&best) {
+            break;
+        }
         let (mut pos_le, mut neg_le) = (0usize, 0usize);
-        let mut group_val: Option<&BigInt> = None;
-        for &si in order {
-            let s = si as usize;
-            if !mask[s] {
-                continue;
-            }
-            let v = &col[s];
-            if let Some(gv) = group_val {
-                if v != gv {
-                    let gain = information_gain(
+        let mut group: Option<u32> = None;
+        t.sweep(col, &[members], |i, starts| {
+            if starts {
+                if let Some(g) = group.filter(|_| !unbeatable(&best)) {
+                    let gain = split_gain(
+                        before,
                         pos_le,
                         neg_le,
                         pos_cnt - pos_le,
                         neg_cnt - neg_le,
                     );
-                    let better = match &best {
-                        None => true,
-                        Some((g, _, _)) => gain > *g + 1e-12,
-                    };
-                    if better {
-                        best = Some((gain, fi, gv));
+                    if best.is_none_or(|(b, _, _)| gain > b + 1e-12) {
+                        best = Some((gain, fi, g));
                     }
-                    group_val = Some(v);
                 }
-            } else {
-                group_val = Some(v);
+                group = Some(i);
             }
-            if s < n_pos {
+            if (i as usize) < n_pos {
                 pos_le += 1;
             } else {
                 neg_le += 1;
             }
-        }
+        });
     }
-    for &i in members {
-        mask[i as usize] = false;
-    }
-    let (gain, fi, c) = best?;
+    let (gain, fi, row) = best?;
     if gain <= 1e-12 {
         // No split makes progress: features cannot separate the data.
         return None;
     }
-    let threshold = c.clone();
-    let (mut m_le, mut m_gt) = (Vec::new(), Vec::new());
-    for &i in members {
-        if vals[fi][i as usize] <= threshold {
-            m_le.push(i);
-        } else {
-            m_gt.push(i);
-        }
-    }
-    let then = build(&m_le, n_pos, vals, orders, mask)?;
-    let els = build(&m_gt, n_pos, vals, orders, mask)?;
+    let threshold = t.value(cols[fi], row);
+    let cut = t.at_most(cols[fi], &threshold);
+    let (m_le, m_gt): (Vec<u32>, Vec<u32>) = members.iter().partition(|&&i| cut.holds(i));
+    let then = build(t, cols, &m_le)?;
+    let els = build(t, cols, &m_gt)?;
     Some(DecisionTree::Node {
         feature: fi,
         threshold,
@@ -315,8 +292,13 @@ fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
     use linarb_arith::int;
     use linarb_logic::Model;
+
+    fn dt_learn(d: &Dataset, features: &[Feature]) -> Option<DecisionTree> {
+        super::dt_learn(&mut Table::new(d.dim(), d.positives(), d.negatives()), features)
+    }
 
     fn s(coords: &[i64]) -> Sample {
         coords.iter().map(|&c| int(c)).collect()
@@ -344,10 +326,11 @@ mod tests {
 
     #[test]
     fn info_gain_prefers_clean_splits() {
+        let before = entropy(5, 5);
         // clean split: 5+/0- vs 0+/5-
-        let clean = information_gain(5, 0, 0, 5);
+        let clean = split_gain(before, 5, 0, 0, 5);
         // muddy split: 3+/2- vs 2+/3-
-        let muddy = information_gain(3, 2, 2, 3);
+        let muddy = split_gain(before, 3, 2, 2, 3);
         assert!(clean > muddy);
         assert!((clean - 1.0).abs() < 1e-12);
     }

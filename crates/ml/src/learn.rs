@@ -8,7 +8,7 @@
 //! returned formula is valid on every positive and invalid on every
 //! negative sample.
 
-use crate::algorithm::{linear_arbitrary_seeded, LearnConfig, LearnError};
+use crate::algorithm::{linear_arbitrary_seeded, table, LearnConfig, LearnError};
 use crate::dataset::Dataset;
 use crate::dtree::{dt_learn, Feature};
 use crate::seed::SeedPlane;
@@ -126,7 +126,10 @@ fn learn_inner(
         return Ok((Formula::True, stats));
     }
 
-    let phi = linear_arbitrary_seeded(data, params, config, seeds, &mut stats.seed_hits)?;
+    // One table for the whole call: Algorithm 1 and the tree share its
+    // projection columns.
+    let mut t = table(data, params)?;
+    let phi = linear_arbitrary_seeded(&mut t, params, config, seeds, &mut stats.seed_hits)?;
     let la_atoms = phi.atoms();
     stats.la_atoms = la_atoms.len();
     if !config.use_decision_tree {
@@ -168,7 +171,7 @@ fn learn_inner(
     }
 
     event!(Level::Trace, "ml", "ml.features", "candidates" => features.len());
-    match dt_learn(data, &features) {
+    match dt_learn(&mut t, &features) {
         Some(tree) => {
             stats.dt_used = true;
             stats.dt_size = tree.size();

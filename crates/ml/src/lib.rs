@@ -16,6 +16,21 @@
 //! exact integer hyperplanes after rationalization and intercept
 //! refit.
 //!
+//! Each [`learn_seeded`] call builds one table over its [`Dataset`]:
+//! rows are the samples (positives first), and a column holds one
+//! direction's projection of every row with the rows' ascending order,
+//! computed the first time any layer asks for it. Algorithm 1's
+//! recursion levels and the decision tree's nodes work on row-index
+//! subsets of that table, so seed scoring, intercept refits, partitions
+//! and tree splits share columns instead of re-projecting and
+//! re-sorting samples.
+//!
+//! The public surface is what callers use: [`learn`] and
+//! [`learn_seeded`] (the CEGAR learner), [`linear_arbitrary`]
+//! (Algorithm 1 alone), [`linear_classify`] with [`ClassifierKind`]
+//! and [`Hyperplane`], the sample sets ([`Dataset`], [`Sample`]) and
+//! the seed store ([`SeedStore`], [`SeedPlane`]).
+//!
 //! # Examples
 //!
 //! Learning the diamond invariant of the paper's program (a):
@@ -46,14 +61,10 @@ mod dtree;
 mod learn;
 mod linear;
 mod seed;
+mod table;
 
-pub use algorithm::{
-    hyperplane_to_atom, linear_arbitrary, linear_arbitrary_seeded, LearnConfig, LearnError,
-};
+pub use algorithm::{linear_arbitrary, LearnConfig, LearnError};
 pub use dataset::{Dataset, Sample};
-pub use dtree::{dt_learn, entropy, information_gain, DecisionTree, Feature};
 pub use learn::{learn, learn_seeded, LearnStats};
+pub use linear::{linear_classify, ClassifierKind, Hyperplane};
 pub use seed::{SeedPlane, SeedStore};
-pub use linear::{
-    linear_classify, rationalize, refit_intercept, ClassifierKind, Hyperplane,
-};

@@ -13,6 +13,7 @@
 //! of the opposite class) is implemented in [`linear_classify`].
 
 use crate::dataset::Sample;
+use crate::table::{Col, Cut, Table};
 use linarb_arith::BigInt;
 use linarb_testutil::XorShiftRng;
 
@@ -75,47 +76,79 @@ pub fn linear_classify(
     neg: &[Sample],
     seed: u64,
 ) -> Option<Hyperplane> {
+    let dim = pos.first().or_else(|| neg.first()).map_or(0, Vec::len);
+    let mut t = Table::new(dim, pos, neg);
+    let (p, n) = t.classes();
+    classify(kind, &mut t, &p, &n, seed).map(|f| f.h)
+}
+
+/// A hyperplane fitted on a [`Table`], with the column its weights
+/// project onto, so `w·x ≥ threshold` tests read the table instead of
+/// projecting again.
+pub(crate) struct Fit {
+    /// The hyperplane.
+    pub(crate) h: Hyperplane,
+    /// The column of `h.weights`.
+    pub(crate) col: Col,
+}
+
+impl Fit {
+    /// The test `h.predict` on the table's rows.
+    pub(crate) fn cut<'t>(&self, t: &'t Table) -> Cut<'t> {
+        t.at_least(self.col, &self.h.threshold)
+    }
+}
+
+/// [`linear_classify`] on the rows `pos` and `neg` of a table.
+pub(crate) fn classify(
+    kind: ClassifierKind,
+    t: &mut Table,
+    pos: &[u32],
+    neg: &[u32],
+    seed: u64,
+) -> Option<Fit> {
     if pos.is_empty() || neg.is_empty() {
         return None;
     }
-    let primary = raw_direction(kind, pos, neg, seed)
-        .and_then(|dir| refit_intercept(&dir, pos, neg));
+    let primary = raw_direction(kind, t, pos, neg, seed)
+        .and_then(|dir| refit_intercept(t, &dir, pos, neg));
     if primary.is_some() {
         return primary;
     }
     // §5 fallback: S⁺ against one random negative, then one random
     // positive against S⁻.
     let mut rng = XorShiftRng::seed_from_u64(seed ^ 0x5eed);
-    let n = &neg[rng.gen_range(0..neg.len())];
-    if let Some(h) = raw_direction(kind, pos, std::slice::from_ref(n), seed ^ 1)
-        .and_then(|dir| refit_intercept(&dir, pos, neg))
+    let n = neg[rng.gen_range(0..neg.len())];
+    if let Some(f) = raw_direction(kind, t, pos, &[n], seed ^ 1)
+        .and_then(|dir| refit_intercept(t, &dir, pos, neg))
     {
-        return Some(h);
+        return Some(f);
     }
-    let p = &pos[rng.gen_range(0..pos.len())];
-    if let Some(h) = raw_direction(kind, std::slice::from_ref(p), neg, seed ^ 2)
-        .and_then(|dir| refit_intercept(&dir, pos, neg))
+    let p = pos[rng.gen_range(0..pos.len())];
+    if let Some(f) = raw_direction(kind, t, &[p], neg, seed ^ 2)
+        .and_then(|dir| refit_intercept(t, &dir, pos, neg))
     {
-        return Some(h);
+        return Some(f);
     }
     // Last resort: the exact two-point separator direction p − n.
-    let dir: Vec<BigInt> = p.iter().zip(n.iter()).map(|(a, b)| a - b).collect();
+    let dir: Vec<BigInt> = t.row(p).iter().zip(t.row(n)).map(|(a, b)| a - b).collect();
     if dir.iter().all(BigInt::is_zero) {
         return None;
     }
-    refit_intercept(&normalize_gcd(dir), pos, neg)
+    refit_intercept(t, &normalize_gcd(dir), pos, neg)
 }
 
 /// Learns a raw integer *direction* (no meaningful intercept yet).
 fn raw_direction(
     kind: ClassifierKind,
-    pos: &[Sample],
-    neg: &[Sample],
+    t: &mut Table,
+    pos: &[u32],
+    neg: &[u32],
     seed: u64,
 ) -> Option<Vec<BigInt>> {
     let dir = match kind {
-        ClassifierKind::Perceptron => perceptron_direction(pos, neg),
-        ClassifierKind::Svm => svm_direction(pos, neg, seed),
+        ClassifierKind::Perceptron => perceptron_direction(t, pos, neg),
+        ClassifierKind::Svm => svm_direction(t, pos, neg, seed),
     };
     let dir = normalize_gcd(dir);
     if dir.iter().all(BigInt::is_zero) {
@@ -127,20 +160,20 @@ fn raw_direction(
 
 /// Exact integer pocket perceptron; returns the weight vector with the
 /// fewest training mistakes seen.
-fn perceptron_direction(pos: &[Sample], neg: &[Sample]) -> Vec<BigInt> {
-    let dim = pos.first().or_else(|| neg.first()).map_or(0, Vec::len);
-    let mut w = vec![BigInt::zero(); dim];
+fn perceptron_direction(t: &Table, pos: &[u32], neg: &[u32]) -> Vec<BigInt> {
+    let mut w = vec![BigInt::zero(); t.dim()];
     let mut b = BigInt::zero();
     let mut best_w = w.clone();
     let mut best_errors = usize::MAX;
     let max_epochs = 64usize;
     for _ in 0..max_epochs {
         let mut mistakes = 0usize;
-        for (label_pos, s) in pos
+        for (label_pos, i) in pos
             .iter()
-            .map(|s| (true, s))
-            .chain(neg.iter().map(|s| (false, s)))
+            .map(|&i| (true, i))
+            .chain(neg.iter().map(|&i| (false, i)))
         {
+            let s = t.row(i);
             let score: BigInt = w
                 .iter()
                 .zip(s.iter())
@@ -177,25 +210,24 @@ fn perceptron_direction(pos: &[Sample], neg: &[Sample]) -> Vec<BigInt> {
 /// Pegasos-style soft-margin SVM in `f64`; returns a rationalized
 /// integer direction. The walk always runs the full iteration budget:
 /// early averaged iterates hug the samples, and their rationalizations
-/// send CEGAR down trajectories that stop converging (`jm2006`).
-fn svm_direction(pos: &[Sample], neg: &[Sample], seed: u64) -> Vec<BigInt> {
+/// send CEGAR down trajectories that stop converging (`jm2006`). It
+/// reads the table's `f64` rows, converted once per learn call.
+fn svm_direction(t: &mut Table, pos: &[u32], neg: &[u32], seed: u64) -> Vec<BigInt> {
     use linarb_trace::Level;
     let mut span = linarb_trace::span(Level::Trace, "ml", "ml.svm");
-    let dim = pos.first().or_else(|| neg.first()).map_or(0, Vec::len);
+    let dim = t.dim();
+    let rows = t.floats();
     let n = pos.len() + neg.len();
     let lambda = 1.0 / (SVM_C * n as f64).max(1e-9);
     let mut w = vec![0.0f64; dim];
     let mut b = 0.0f64;
     let mut avg_w = vec![0.0f64; dim];
     let mut rng = XorShiftRng::seed_from_u64(seed);
-    let data: Vec<(f64, Vec<f64>)> = pos
-        .iter()
-        .map(|s| (1.0, s.iter().map(BigInt::to_f64).collect()))
-        .chain(neg.iter().map(|s| (-1.0, s.iter().map(BigInt::to_f64).collect())))
-        .collect();
-    for t in 1..=SVM_ITERS {
-        let (y, x) = &data[rng.gen_range(0..n)];
-        let eta = 1.0 / (lambda * t as f64);
+    for step in 1..=SVM_ITERS {
+        let k = rng.gen_range(0..n);
+        let (y, i) = if k < pos.len() { (1.0, pos[k]) } else { (-1.0, neg[k - pos.len()]) };
+        let x = &rows[i as usize * dim..(i as usize + 1) * dim];
+        let eta = 1.0 / (lambda * step as f64);
         let margin = y * (dot(&w, x) + b);
         for wi in w.iter_mut() {
             *wi *= 1.0 - eta * lambda;
@@ -229,7 +261,7 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// components are scaled relative to the largest magnitude, snapped to
 /// rationals with denominator ≤ 12 by continued fractions, and
 /// multiplied out to integers.
-pub fn rationalize(w: &[f64]) -> Vec<BigInt> {
+pub(crate) fn rationalize(w: &[f64]) -> Vec<BigInt> {
     const MAX_DEN: i64 = 6;
     let max = w.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
     if max <= 1e-12 || !max.is_finite() {
@@ -304,87 +336,94 @@ fn normalize_gcd(mut w: Vec<BigInt>) -> Vec<BigInt> {
 }
 
 /// Given an integer direction, chooses the orientation and integer
-/// threshold that best separate the samples, by exact projection.
+/// threshold that best separate the rows `pos` from the rows `neg`, by
+/// exact projection, and reports `(errors, pos_errors)` of the chosen
+/// hyperplane on them, so callers (the symbolic seed fast path) can rank
+/// candidate directions without re-scanning.
 ///
 /// The returned hyperplane maximizes classification accuracy over all
 /// integer thresholds (midpoints of adjacent projections); ties prefer
-/// wider margins. Returns `None` only for the zero direction.
-pub fn refit_intercept(dir: &[BigInt], pos: &[Sample], neg: &[Sample]) -> Option<Hyperplane> {
-    refit_intercept_scored(dir, pos, neg).map(|(h, _, _)| h)
+/// wider margins. Returns `None` only for the zero direction or no rows.
+///
+/// One sweep over the rows in the table's sorted order for `dir`
+/// evaluates every candidate threshold in both orientations with running
+/// counts. Candidates are enumerated as an exhaustive scan would: an
+/// ascending pass per orientation, un-flipped first, strict improvement
+/// only.
+pub(crate) fn refit_intercept(
+    t: &mut Table,
+    dir: &[BigInt],
+    pos: &[u32],
+    neg: &[u32],
+) -> Option<Fit> {
+    refit_intercept_scored(t, dir, pos, neg).map(|(f, _, _)| f)
 }
 
-/// [`refit_intercept`] that also reports `(errors, pos_errors)` of the
-/// chosen hyperplane on the training data, so callers (the symbolic
-/// seed fast path) can rank candidate directions without re-scanning.
-///
-/// Implementation: projections are computed once and sorted; a single
-/// sweep over the distinct values evaluates every candidate threshold
-/// in both orientations with running counts — O(n log n) total,
-/// replacing the former O(candidates × samples) rescan with its
-/// per-candidate `BigInt` clones. The candidate enumeration order (and
-/// therefore every tie-break) matches the old exhaustive scan: an
-/// ascending pass per orientation, un-flipped first, strict
-/// improvement only.
+/// [`refit_intercept`] with the chosen hyperplane's
+/// `(errors, pos_errors)`.
 pub(crate) fn refit_intercept_scored(
+    t: &mut Table,
     dir: &[BigInt],
-    pos: &[Sample],
-    neg: &[Sample],
-) -> Option<(Hyperplane, usize, usize)> {
+    pos: &[u32],
+    neg: &[u32],
+) -> Option<(Fit, usize, usize)> {
     if dir.iter().all(BigInt::is_zero) {
         return None;
     }
-    let h = Hyperplane { weights: dir.to_vec(), threshold: BigInt::zero() };
-    let mut proj: Vec<(BigInt, bool)> = pos
-        .iter()
-        .map(|s| (h.project(s), true))
-        .chain(neg.iter().map(|s| (h.project(s), false)))
-        .collect();
-    if proj.is_empty() {
-        return None;
-    }
-    proj.sort_by(|a, b| a.0.cmp(&b.0));
-    let pos_total = pos.len();
-    let neg_total = neg.len();
-    // Distinct candidate thresholds, ascending: the minimum projection
-    // v₀ (everything classified "≥"), then v+1 after each distinct
-    // value v. `*_below` counts entries with projection < candidate.
-    // Un-flipped predicts true iff proj ≥ c; flipped (threshold
-    // −c + 1 on negated weights) predicts true iff proj < c.
-    let mut best_n: Option<(usize, usize, BigInt)> = None; // errors, pos_errors, threshold
-    let mut best_f: Option<(usize, usize, BigInt)> = None;
-    let mut consider = |pos_below: usize, neg_below: usize, c: &BigInt, plus_one: bool| {
-        let thr = if plus_one { c + &BigInt::one() } else { c.clone() };
+    let col = t.linear(dir);
+    let n_pos = t.n_pos();
+    let (pos_total, neg_total) = (pos.len(), neg.len());
+    // Candidate thresholds, ascending: the minimum projection v₀
+    // (everything classified "≥"), then v+1 after each distinct value
+    // v. A candidate is `(row, plus_one)`: the value of `row`, plus one
+    // if set. `*_below` counts rows with projection < candidate.
+    // Un-flipped predicts true iff proj ≥ c; flipped (threshold −c + 1
+    // on negated weights) predicts true iff proj < c. Each best is
+    // `(errors, pos_errors, candidate)`.
+    type Best = Option<(usize, usize, (u32, bool))>;
+    let (mut best_n, mut best_f): (Best, Best) = (None, None);
+    let mut consider = |pos_below: usize, neg_below: usize, cand: (u32, bool)| {
         let err_n = pos_below + (neg_total - neg_below);
-        if best_n.as_ref().map_or(true, |(e, _, _)| err_n < *e) {
-            best_n = Some((err_n, pos_below, thr.clone()));
+        if best_n.is_none_or(|(e, _, _)| err_n < e) {
+            best_n = Some((err_n, pos_below, cand));
         }
         let err_f = (pos_total - pos_below) + neg_below;
-        if best_f.as_ref().map_or(true, |(e, _, _)| err_f < *e) {
-            best_f = Some((err_f, pos_total - pos_below, -&thr + &BigInt::one()));
+        if best_f.is_none_or(|(e, _, _)| err_f < e) {
+            best_f = Some((err_f, pos_total - pos_below, cand));
         }
     };
-    consider(0, 0, &proj[0].0, false);
     let (mut pb, mut nb) = (0usize, 0usize);
-    let mut i = 0;
-    while i < proj.len() {
-        let mut j = i;
-        while j < proj.len() && proj[j].0 == proj[i].0 {
-            if proj[j].1 {
-                pb += 1;
-            } else {
-                nb += 1;
+    let mut group: Option<u32> = None;
+    t.sweep(col, &[pos, neg], |i, starts| {
+        if starts {
+            match group {
+                None => consider(0, 0, (i, false)),
+                Some(g) => consider(pb, nb, (g, true)),
             }
-            j += 1;
+            group = Some(i);
         }
-        consider(pb, nb, &proj[i].0, true);
-        i = j;
+        if (i as usize) < n_pos {
+            pb += 1;
+        } else {
+            nb += 1;
+        }
+    });
+    consider(pb, nb, (group?, true));
+    let (en, pn, cn) = best_n.expect("non-empty projections");
+    let (ef, pf, cf) = best_f.expect("non-empty projections");
+    let flipped = ef < en;
+    let (errors, pos_errors, (row, plus_one)) = if flipped { (ef, pf, cf) } else { (en, pn, cn) };
+    let mut c = t.value(col, row);
+    if plus_one {
+        c = &c + &BigInt::one();
     }
-    let (en, pn, tn) = best_n.expect("non-empty projections");
-    let (ef, pf, tf) = best_f.expect("non-empty projections");
-    let (errors, pos_errors, threshold, flipped) =
-        if ef < en { (ef, pf, tf, true) } else { (en, pn, tn, false) };
-    let weights = if flipped { dir.iter().map(|c| -c).collect() } else { dir.to_vec() };
-    Some((Hyperplane { weights, threshold }, errors, pos_errors))
+    let h = if flipped {
+        Hyperplane { weights: dir.iter().map(|w| -w).collect(), threshold: -&c + &BigInt::one() }
+    } else {
+        Hyperplane { weights: dir.to_vec(), threshold: c }
+    };
+    let col = if flipped { col.negated() } else { col };
+    Some((Fit { h, col }, errors, pos_errors))
 }
 
 #[cfg(test)]
@@ -394,6 +433,12 @@ mod tests {
 
     fn s(coords: &[i64]) -> Sample {
         coords.iter().map(|&c| int(c)).collect()
+    }
+
+    fn refit(dir: &[BigInt], pos: &[Sample], neg: &[Sample]) -> Option<Hyperplane> {
+        let mut t = Table::new(dir.len(), pos, neg);
+        let (p, n) = t.classes();
+        refit_intercept(&mut t, dir, &p, &n).map(|f| f.h)
     }
 
     fn sep_perfectly(h: &Hyperplane, pos: &[Sample], neg: &[Sample]) -> bool {
@@ -466,7 +511,7 @@ mod tests {
         // direction (1, 0): pos at x>=5, neg at x<=1
         let pos = vec![s(&[5, 9]), s(&[7, -2])];
         let neg = vec![s(&[1, 3]), s(&[0, 0])];
-        let h = refit_intercept(&[int(1), int(0)], &pos, &neg).unwrap();
+        let h = refit(&[int(1), int(0)], &pos, &neg).unwrap();
         assert!(sep_perfectly(&h, &pos, &neg));
         assert!(h.threshold >= int(2) && h.threshold <= int(5));
     }
@@ -476,7 +521,7 @@ mod tests {
         // direction (1,0) but positives on the SMALL side
         let pos = vec![s(&[0, 1]), s(&[1, 0])];
         let neg = vec![s(&[8, 2]), s(&[9, 3])];
-        let h = refit_intercept(&[int(1), int(0)], &pos, &neg).unwrap();
+        let h = refit(&[int(1), int(0)], &pos, &neg).unwrap();
         assert!(sep_perfectly(&h, &pos, &neg), "{h:?}");
         assert_eq!(h.weights[0], int(-1));
     }

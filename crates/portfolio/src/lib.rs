@@ -502,7 +502,8 @@ fn skipped_reports(engines: &[EngineKind]) -> Vec<EngineReport> {
 
 /// Runs exactly one engine under the full budget and checks its
 /// certificate as the race would: an uncertified definite verdict is
-/// demoted to `Unknown`. The outcome has one report row.
+/// demoted to `Unknown`, and an `Unknown` keeps the engine's own reason.
+/// The outcome has one report row.
 pub fn solve_single(kind: EngineKind, sys: &ChcSystem, budget: &Budget) -> PortfolioOutcome {
     let start = Instant::now();
     let verdict = run_engine(kind, sys, budget);
@@ -518,13 +519,13 @@ pub fn solve_single(kind: EngineKind, sys: &ChcSystem, budget: &Budget) -> Portf
         certified,
         winner: won,
     };
-    let final_verdict = if won {
-        verdict
-    } else {
+    let final_verdict = if certified == Some(false) {
         EngineVerdict::Unknown(format!(
             "engine {kind}: verdict {} not certified",
             verdict.label()
         ))
+    } else {
+        verdict
     };
     finish(final_verdict, won.then_some(kind), vec![report], start)
 }

@@ -30,6 +30,14 @@ echo "== seeding ground-truth gate =="
 # invocation cannot skip it silently.
 cargo test -q --offline -p linarb-bench --test seeding
 
+echo "== learner golden gate =="
+# learn_seeded on 320 fixed random datasets (dimensions 1-4, 2-400
+# samples, small and huge coordinates, 0-8 seeds, both classifiers,
+# decision tree on and off) must reproduce the committed transcript of
+# formulas, learner stats and seed-hit orders byte for byte. Repeated
+# here by name so a filtered CI invocation cannot skip it silently.
+cargo test -q --offline -p linarb-ml --test learn_golden
+
 echo "== oracle differential gate (box enumeration reference) =="
 # The online DPLL(T) engine (warm theory inside the search, LBD
 # clause-DB reduction) against exhaustive enumeration of a box, which

@@ -38,8 +38,8 @@ options:
                                   LINARB_THREADS): engines running at
                                   once, never fewer than 2, so 1 and 2
                                   both run cegar beside spacer. Needs
-                                  --engine, since the CEGAR loop is
-                                  sequential
+                                  --engine portfolio: the CEGAR loop
+                                  and a single engine are sequential
   --profile                       aggregate the span tree into a
                                   hierarchical self-profile; print a
                                   summary to stderr after solving
@@ -175,8 +175,10 @@ fn parse_args() -> Result<Cli, String> {
             }
         }
     }
-    if cli.threads.is_some() && cli.engine.is_none() {
-        return Err("--threads sets the portfolio race width and needs --engine".to_string());
+    if cli.threads.is_some() && !matches!(cli.engine, Some(EngineSel::Portfolio)) {
+        return Err(
+            "--threads sets the portfolio race width and needs --engine portfolio".to_string()
+        );
     }
     Ok(cli)
 }

@@ -35,6 +35,29 @@ fn threads_without_engine_is_rejected() {
     assert_eq!(String::from_utf8_lossy(&raced.stdout).trim(), "sat");
 }
 
+/// A single `--engine` runs alone, so a race width for it is an error
+/// too, not an ignored flag.
+#[test]
+fn threads_with_single_engine_is_rejected() {
+    let out = linarb(&["--engine", "cegar", "--threads", "7", "examples/fig1.smt2"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "no verdict may be printed: {out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--threads") && err.contains("--engine portfolio"), "{err}");
+}
+
+/// An engine that gives up reports its own reason: only a definite
+/// verdict whose certificate fails is relabelled "not certified". BMC
+/// cannot prove fig1 safe, so under a deadline it answers unknown.
+#[test]
+fn single_engine_unknown_keeps_its_reason() {
+    let out = linarb(&["--engine", "bmc", "--timeout-ms", "1000", "examples/fig1.smt2"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown"), "{err}");
+    assert!(!err.contains("not certified"), "{err}");
+}
+
 /// A misspelt `--engine` name is an error naming the value, not a
 /// silent fall-back to the full race.
 #[test]
